@@ -9,10 +9,15 @@ import (
 
 // Snapshot is a parsed copy of the layout tree: what the UI controller sees
 // after one parsing pass. It reflects the tree state at the moment the parse
-// started.
+// started. Views is shared by every snapshot of the same tree version: read
+// it, never write it.
 type Snapshot struct {
 	At    simtime.Time // parse completion time
 	Views []SnapView
+
+	// fire delivers the snapshot when its parse completes. Parse binds it
+	// once; WaitUntil re-arms the same shell and callback for every poll.
+	fire func()
 }
 
 // SnapView is one flattened view in a snapshot.
@@ -112,18 +117,18 @@ type Instrumentation struct {
 	parseCPU time.Duration
 	polling  bool
 
-	// Snapshot recycling: parses are frequent (a WaitUntil polls back to
-	// back) and each flattens the whole tree, so snapshots and their Views
-	// backing arrays are reused instead of reallocated. visitFn is the one
-	// walk visitor, allocated once, appending into visitTarget.
-	snapFree    []*Snapshot
-	visitTarget *Snapshot
-	visitFn     func(*View)
+	// The flattened tree and its parse cost, cached for tree version
+	// viewsVer: polls between two mutations share one immutable slice. A
+	// mutation makes the next parse build a fresh slice rather than rewrite
+	// this one, which in-flight snapshots may still hold.
+	views     []SnapView
+	viewsVer  uint64
+	viewsCost time.Duration
 }
 
 // NewInstrumentation attaches an instrumentation to a screen.
 func NewInstrumentation(k *simtime.Kernel, screen *Screen) *Instrumentation {
-	in := &Instrumentation{
+	return &Instrumentation{
 		k:            k,
 		screen:       screen,
 		parseBase:    2 * time.Millisecond,
@@ -131,13 +136,6 @@ func NewInstrumentation(k *simtime.Kernel, screen *Screen) *Instrumentation {
 		inputLatency: 2 * time.Millisecond,
 		cpuFraction:  0.05,
 	}
-	in.visitFn = func(v *View) {
-		t := in.visitTarget
-		t.Views = append(t.Views, SnapView{
-			Class: v.Class, ID: v.ID, Desc: v.Desc, Text: v.text, Shown: v.Shown(),
-		})
-	}
-	return in
 }
 
 // Screen returns the instrumented screen.
@@ -148,32 +146,24 @@ func (in *Instrumentation) ParseCPU() time.Duration { return in.parseCPU }
 
 // ParseTime returns the current cost of one layout-tree parse.
 func (in *Instrumentation) ParseTime() time.Duration {
-	return in.parseBase + time.Duration(in.screen.Root().Count())*in.parsePerView
+	_, cost := in.layout()
+	return cost
 }
 
-// snapshotNow flattens the live tree (state as of now) into a pooled
-// snapshot. The caller must hand the snapshot back via releaseSnap once its
-// consumer is done with it.
-func (in *Instrumentation) snapshotNow() *Snapshot {
-	var snap *Snapshot
-	if n := len(in.snapFree); n > 0 {
-		snap = in.snapFree[n-1]
-		in.snapFree[n-1] = nil
-		in.snapFree = in.snapFree[:n-1]
-		snap.At = 0
-		snap.Views = snap.Views[:0]
-	} else {
-		snap = &Snapshot{}
+// layout returns the flattened live tree and the cost of parsing it,
+// flattening only when the screen's version has moved since the last call.
+func (in *Instrumentation) layout() ([]SnapView, time.Duration) {
+	if in.views == nil || in.viewsVer != in.screen.version {
+		views := make([]SnapView, 0, len(in.views))
+		in.screen.root.walk(func(v *View) {
+			views = append(views, SnapView{
+				Class: v.Class, ID: v.ID, Desc: v.Desc, Text: v.text, Shown: v.Shown(),
+			})
+		})
+		in.views, in.viewsVer = views, in.screen.version
+		in.viewsCost = in.parseBase + time.Duration(len(views))*in.parsePerView
 	}
-	in.visitTarget = snap
-	in.screen.Root().walk(in.visitFn)
-	in.visitTarget = nil
-	return snap
-}
-
-// releaseSnap returns a snapshot (and its Views capacity) to the pool.
-func (in *Instrumentation) releaseSnap(s *Snapshot) {
-	in.snapFree = append(in.snapFree, s)
+	return in.views, in.viewsCost
 }
 
 // noteAction allocates a correlation ID for a user input, makes it the
@@ -191,19 +181,24 @@ func (in *Instrumentation) noteAction(name string) {
 
 // Parse performs one parsing pass: the result reflects the tree at call
 // time and becomes available one ParseTime later, when cb is invoked. The
-// snapshot is recycled when cb returns — read what you need inside the
-// callback; do not retain the *Snapshot (or subslices of its Views) beyond
-// it.
+// completion callback bound here is the one every parse fires, WaitUntil
+// polls included, so profilers can count parses by its call site.
 func (in *Instrumentation) Parse(cb func(*Snapshot)) {
+	s := &Snapshot{}
+	s.fire = func() {
+		s.At = in.k.Now()
+		cb(s)
+	}
+	in.parse(s)
+}
+
+// parse starts one parsing pass that delivers s through s.fire.
+func (in *Instrumentation) parse(s *Snapshot) {
 	in.screen.parses.Inc()
-	snap := in.snapshotNow()
-	cost := in.ParseTime()
+	var cost time.Duration
+	s.Views, cost = in.layout()
 	in.parseCPU += time.Duration(float64(cost) * in.cpuFraction)
-	in.k.After(cost, func() {
-		snap.At = in.k.Now()
-		cb(snap)
-		in.releaseSnap(snap)
-	})
+	in.k.After(cost, s.fire)
 }
 
 // WaitResult reports how a WaitUntil ended.
@@ -217,7 +212,9 @@ type WaitResult struct {
 // ParseTime) until cond holds on a snapshot or the timeout expires. This is
 // the wait component of the see-interact-wait paradigm; the returned At is
 // the raw measured timestamp t_m = t_ui + t_offset + t_parsing, which the
-// analyzer later calibrates by subtracting 3/2 t_parsing.
+// analyzer later calibrates by subtracting 3/2 t_parsing. Every poll of a
+// wait hands cond the same *Snapshot: cond may keep its Views, not the
+// snapshot itself.
 func (in *Instrumentation) WaitUntil(cond func(*Snapshot) bool, timeout time.Duration, done func(WaitResult)) {
 	if in.polling {
 		panic("uisim: concurrent WaitUntil on one instrumentation")
@@ -227,17 +224,15 @@ func (in *Instrumentation) WaitUntil(cond func(*Snapshot) bool, timeout time.Dur
 	parses := 0
 	var start simtime.Time
 	var poll func()
-	// One parse callback for the whole wait (instead of a fresh closure per
-	// poll): polls are the hottest allocation site in long waits.
+	// One snapshot shell and one completion callback serve the whole wait:
+	// the first poll binds them through Parse and later polls re-arm them,
+	// so a poll allocates nothing.
+	var shell *Snapshot
 	onParse := func(s *Snapshot) {
-		if cond(s) {
+		shell = s
+		if ok := cond(s); ok || in.k.Now() >= deadline {
 			in.polling = false
-			done(WaitResult{Observed: true, At: s.At, Parses: parses})
-			return
-		}
-		if in.k.Now() >= deadline {
-			in.polling = false
-			done(WaitResult{Observed: false, At: s.At, Parses: parses})
+			done(WaitResult{Observed: ok, At: s.At, Parses: parses})
 			return
 		}
 		if next := start + in.pollInterval; next > in.k.Now() {
@@ -249,7 +244,11 @@ func (in *Instrumentation) WaitUntil(cond func(*Snapshot) bool, timeout time.Dur
 	poll = func() {
 		parses++
 		start = in.k.Now()
-		in.Parse(onParse)
+		if shell == nil {
+			in.Parse(onParse)
+		} else {
+			in.parse(shell)
+		}
 	}
 	poll()
 }

@@ -1,6 +1,7 @@
 package uisim
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -142,6 +143,9 @@ func (s *Screen) draw() {
 			w.fn(now)
 		}
 	}
+	// Drop fired watchers, so a draw scans only the live ones. A watcher an
+	// fn registered above is first checked at the next draw.
+	s.watchers = slices.DeleteFunc(s.watchers, func(w *screenWatcher) bool { return w.fired })
 }
 
 // OnDraw registers a listener invoked at every draw commit.
@@ -151,11 +155,10 @@ func (s *Screen) OnDraw(fn func(at simtime.Time)) { s.onDraw = append(s.onDraw, 
 // cond holds over the live tree. This models the 60fps screen recording the
 // paper uses as latency ground truth (t_screen).
 func (s *Screen) WatchScreen(cond func(root *View) bool, fn func(at simtime.Time)) {
-	s.watchers = append(s.watchers, &screenWatcher{cond: cond, fn: fn})
 	// The condition may already hold on-screen.
 	if !s.dirty && cond(s.root) {
-		w := s.watchers[len(s.watchers)-1]
-		w.fired = true
 		fn(s.k.Now())
+		return
 	}
+	s.watchers = append(s.watchers, &screenWatcher{cond: cond, fn: fn})
 }

@@ -24,11 +24,11 @@ func TestViewTreeBasics(t *testing.T) {
 	if list.Children()[0] != b || list.Children()[1] != a {
 		t.Fatal("PrependChild order wrong")
 	}
-	if root.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", root.Count())
+	if n := len(root.FindAll(Signature{})); n != 4 {
+		t.Fatalf("tree has %d views, want 4", n)
 	}
 	list.RemoveChild(a)
-	if root.Count() != 3 || a.Parent() != nil {
+	if len(root.FindAll(Signature{})) != 3 || a.Parent() != nil {
 		t.Fatal("RemoveChild failed")
 	}
 	list.ClearChildren()

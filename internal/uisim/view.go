@@ -28,7 +28,9 @@ const (
 )
 
 // View is one node of the layout tree. Mutations must go through the setter
-// methods so the owning screen can track invalidation.
+// methods so the owning screen can track invalidation. Class, ID and Desc
+// are immutable once the view is attached: writing them bypasses
+// Screen.version, so parses cached for that version would go stale.
 type View struct {
 	Class string // Android class name
 	ID    string // resource id, e.g. "com.facebook.katana:id/feed_list"
@@ -148,15 +150,6 @@ func (v *View) invalidate() {
 	if v.screen != nil {
 		v.screen.invalidate()
 	}
-}
-
-// Count returns the number of views in this subtree (parse cost model).
-func (v *View) Count() int {
-	n := 1
-	for _, c := range v.children {
-		n += c.Count()
-	}
-	return n
 }
 
 // Signature identifies a view the way the paper's View signature does
