@@ -20,8 +20,9 @@ test-short: build
 # qoestore chaos drills. Each simulation kernel is single-goroutine by
 # design, but the sweep engine runs whole testbeds on concurrent goroutines,
 # so -race exercises real concurrency (internal/sweep's parallel-vs-serial
-# golden runs under it). It ends with the benchmark's ~10 s smoke test;
-# `make bench-remedy-compare` (~20 min) stays available on its own.
+# golden runs under it). It ends with a 10 s fuzz of the message framing
+# and the benchmark's ~10 s smoke test; `make bench-remedy-compare`
+# (~20 min) stays available on its own.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -30,6 +31,7 @@ verify: build
 	$(MAKE) cover
 	$(MAKE) chaos
 	$(MAKE) sharded-golden
+	$(GO) test -run '^$$' -fuzz FuzzMsgConnFeed -fuzztime 10s ./internal/netsim/
 	cd bench && $(GO) test .
 
 # The sharded fleet's determinism contract, pinned at both extremes of

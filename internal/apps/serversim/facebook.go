@@ -67,18 +67,22 @@ func EncodeMeta(meta FBMeta, total int) []byte {
 	if err != nil {
 		panic("serversim: meta marshal: " + err.Error())
 	}
-	out := make([]byte, 2, max(total, len(hdr)+2))
+	out := make([]byte, max(total, len(hdr)+2))
 	out[0] = byte(len(hdr) >> 8)
 	out[1] = byte(len(hdr))
-	out = append(out, hdr...)
-	// LCG filler: aperiodic padding so RLC PDU head bytes stay diverse
-	// (byte-periodic filler would let the long-jump mapper alias).
-	x := uint32(len(hdr))*2654435761 + uint32(total)
-	for len(out) < total {
-		x = x*1664525 + 1013904223
-		out = append(out, byte(x>>24))
-	}
+	copy(out[2:], hdr)
+	lcgFill(out[2+len(hdr):], uint32(len(hdr))*2654435761+uint32(total))
 	return out
+}
+
+// lcgFill writes aperiodic filler into p: the top byte of each step of a
+// 32-bit LCG started at x. Aperiodic padding keeps RLC PDU head bytes
+// diverse (byte-periodic filler would let the long-jump mapper alias).
+func lcgFill(p []byte, x uint32) {
+	for i := range p {
+		x = x*1664525 + 1013904223
+		p[i] = byte(x >> 24)
+	}
 }
 
 // DecodeMeta parses a payload produced by EncodeMeta.

@@ -88,16 +88,7 @@ func (srv *WebServer) handle(mc *netsim.MsgConn, kind byte, payload []byte) {
 	spec := srv.Page(req.Path)
 	switch kind {
 	case WebGetPage:
-		hdr, _ := json.Marshal(spec)
-		body := make([]byte, 2+len(hdr), 2+len(hdr)+spec.HTMLBytes)
-		body[0] = byte(len(hdr) >> 8)
-		body[1] = byte(len(hdr))
-		copy(body[2:], hdr)
-		x := uint32(spec.HTMLBytes) * 2246822519
-		for len(body) < 2+len(hdr)+spec.HTMLBytes {
-			x = x*1664525 + 1013904223
-			body = append(body, byte(x>>24))
-		}
+		body := pageBody(spec)
 		srv.k.After(srv.ProcDelay, func() { mc.Send(WebPageData, body) })
 	case WebGetRes:
 		if req.Index < 0 || req.Index >= len(spec.Resources) {
@@ -105,6 +96,18 @@ func (srv *WebServer) handle(mc *netsim.MsgConn, kind byte, payload []byte) {
 		}
 		srv.k.After(srv.ProcDelay, func() { mc.SendFiller(WebResData, spec.Resources[req.Index]) })
 	}
+}
+
+// pageBody is a WebPageData payload: the length-prefixed JSON PageSpec, then
+// HTMLBytes of LCG filler standing in for the HTML.
+func pageBody(spec PageSpec) []byte {
+	hdr, _ := json.Marshal(spec)
+	body := make([]byte, 2+len(hdr)+spec.HTMLBytes)
+	body[0] = byte(len(hdr) >> 8)
+	body[1] = byte(len(hdr))
+	copy(body[2:], hdr)
+	lcgFill(body[2+len(hdr):], uint32(spec.HTMLBytes)*2246822519)
+	return body
 }
 
 // DecodePageSpec extracts the PageSpec header from a WebPageData payload.

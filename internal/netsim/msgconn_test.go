@@ -103,7 +103,7 @@ func TestMsgConnFramingSurvivesLoss(t *testing.T) {
 func TestMsgConnSendFillerDiversity(t *testing.T) {
 	k, client, server, _ := msgPair(t, 4, 0)
 	var payload []byte
-	server.OnMessage(func(kind byte, p []byte) { payload = p })
+	server.OnMessage(func(kind byte, p []byte) { payload = bytes.Clone(p) })
 	client.SendFiller(1, 10_000)
 	k.Run()
 	if len(payload) != 10_000 {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -120,7 +121,9 @@ func (c *Conn) OnEstablished(fn func()) {
 	}
 }
 
-// OnReceive registers the in-order data callback.
+// OnReceive registers the in-order data callback. The slice it gets is
+// read-only and valid only until the callback returns: it may alias the
+// peer's send buffer, so a callback copies whatever it keeps.
 func (c *Conn) OnReceive(fn func([]byte)) { c.onRecv = fn }
 
 // OnPeerClose registers a callback for the peer's FIN.
@@ -173,18 +176,39 @@ func (c *Conn) acceptSYN(p *Packet) {
 // Send queues stream data for transmission. Data sent before the handshake
 // completes is buffered.
 func (c *Conn) Send(data []byte) {
-	if c.state == stDone || c.closeAfter {
+	b, ok := c.reserve(len(data))
+	if !ok {
+		c.refuse()
 		return
 	}
-	if len(c.buf)+len(data) > maxSendBacklog {
-		// The flow never drained (e.g. the path is blackholed under fault
-		// injection). Reset the connection instead of growing without bound;
-		// the app's OnClose callback sees the failure and can retry.
-		c.Abort()
-		return
-	}
-	c.buf = append(c.buf, data...)
+	copy(b, data)
 	c.trySend()
+}
+
+// reserve extends the send buffer by n bytes and returns them for the
+// caller to fill in place before it calls trySend, so a message is written
+// once, straight where its segments will alias it. The bytes sit past the
+// old len, which no emitted segment covers (see trySend). ok is false, and
+// nothing changes, when the connection takes no more data; the caller then
+// calls refuse.
+func (c *Conn) reserve(n int) (b []byte, ok bool) {
+	if c.state == stDone || c.closeAfter || len(c.buf)+n > maxSendBacklog {
+		return nil, false
+	}
+	l := len(c.buf)
+	c.buf = slices.Grow(c.buf, n)[:l+n]
+	return c.buf[l:], true
+}
+
+// refuse finishes a send that reserve turned down. A closed or closing
+// connection drops the data. An open one refused it because its backlog
+// would overflow: the flow never drained (e.g. the path is blackholed under
+// fault injection), so reset the connection instead of growing without
+// bound; the app's OnClose callback sees the failure and can retry.
+func (c *Conn) refuse() {
+	if c.state != stDone && !c.closeAfter {
+		c.Abort()
+	}
 }
 
 // Close closes the sending direction once buffered data drains; the
@@ -273,10 +297,10 @@ func (c *Conn) trySend() {
 		}
 		off := inFlight
 		// Zero-copy: the segment aliases the send buffer. Safe because the
-		// buffer's backing array is only ever appended past len (Send) and
-		// consumed by forward reslicing (ACKs) — emitted bytes are never
+		// buffer's backing array is only ever written past len (reserve)
+		// and consumed by forward reslicing (ACKs) — emitted bytes are never
 		// overwritten — and every consumer (RLC head copy, wire marshal,
-		// receive-side reassembly) copies what it keeps.
+		// receive-side reassembly) copies what it keeps past its callback.
 		seg := c.buf[off : off+n : off+n]
 		seq := c.sndNxt
 		c.emit(&Packet{Flags: FlagPSH, Seq: seq, Payload: seg})

@@ -19,6 +19,7 @@
 package simtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -119,7 +120,11 @@ type Kernel struct {
 	deadInQueue int
 	seq         uint64
 	rng         *rand.Rand
-	stopped     bool
+	// fillVal holds the bytes of the last Int63 draw that Fill has not
+	// handed out yet, low byte first; fillPos counts them.
+	fillVal int64
+	fillPos int8
+	stopped bool
 	// processed counts fired events, exposed for tests and budget guards.
 	processed uint64
 
@@ -158,8 +163,36 @@ func NewKernel(seed int64) *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source. All model-level
-// randomness must come from here to keep runs reproducible.
+// randomness must come from here to keep runs reproducible. Byte streams
+// come from Fill, never from Rand().Read: the two keep separate
+// leftover-byte positions, so mixing them would change which bytes each
+// one hands out.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
+
+// Fill writes pseudo-random bytes from the kernel's source into p. It is
+// Rand().Read byte for byte and draw for draw: each Int63 draw yields seven
+// bytes, low byte first, and bytes left over from one call start the next.
+func (k *Kernel) Fill(p []byte) {
+	i := 0
+	for ; i < len(p) && k.fillPos > 0; i++ {
+		p[i] = byte(k.fillVal)
+		k.fillVal >>= 8
+		k.fillPos--
+	}
+	// Whole draws: store eight bytes and keep seven; the next draw, or
+	// the tail, overwrites the eighth.
+	for ; len(p)-i >= 8; i += 7 {
+		binary.LittleEndian.PutUint64(p[i:], uint64(k.rng.Int63()))
+	}
+	if i < len(p) {
+		k.fillVal, k.fillPos = k.rng.Int63(), 7
+		for ; i < len(p); i++ {
+			p[i] = byte(k.fillVal)
+			k.fillVal >>= 8
+			k.fillPos--
+		}
+	}
+}
 
 // Processed returns the number of events fired so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
