@@ -255,6 +255,20 @@ func TestShardedFleetGoldenRemedy(t *testing.T) {
 				workers, golden, workers, got)
 		}
 	}
+	checkDigest(t, "storm-remedy/report", []byte(golden))
+}
+
+// TestOneCellRemedyGolden pins an actively remediated one-cell fleet: every
+// control tick sees all six UEs, and every action lands through the tick's
+// own kernel.
+func TestOneCellRemedyGolden(t *testing.T) {
+	scen := throttledVideoScenario(3, 6)
+	scen.Remedy = &fleet.RemedySpec{}
+	_, rep := runControlled(t, scen, 4*time.Minute)
+	if countInterventions(rep) == 0 {
+		t.Fatal("remediated one-cell fleet produced no interventions; the golden is vacuous")
+	}
+	checkDigest(t, "one-cell-remedy/report", []byte(rep.Render()))
 }
 
 // TestCrossShardActionDelivery: a control hook on one shard actuating a UE

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -17,7 +18,8 @@ import (
 // TestSingleUEMatchesBed is the PR's golden gate: the legacy Bed path
 // (flat Options through testbed.New) and a 1-UE fleet build of the same
 // scenario must produce byte-identical outputs — QoE report, Chrome trace
-// export, behavior log, and collected radio/packet logs.
+// export, behavior log, and collected radio/packet logs — and each of those
+// outputs, plus the metrics export, matches its digest in testdata.
 func TestSingleUEMatchesBed(t *testing.T) {
 	const seed = 7
 	const horizon = 90 * time.Second
@@ -38,8 +40,9 @@ func TestSingleUEMatchesBed(t *testing.T) {
 	f.CloseObs()
 	ue := f.UEs[0]
 
-	if got, want := f.Report().Render(), bed.Fleet().Report().Render(); got != want {
-		t.Errorf("QoE reports diverge:\n--- bed ---\n%s\n--- fleet ---\n%s", want, got)
+	report := f.Report().Render()
+	if want := bed.Fleet().Report().Render(); report != want {
+		t.Errorf("QoE reports diverge:\n--- bed ---\n%s\n--- fleet ---\n%s", want, report)
 	}
 	var bedTrace, fleetTrace bytes.Buffer
 	if err := obs.WriteChromeTrace(&bedTrace, bed.Trace.Events()); err != nil {
@@ -60,10 +63,32 @@ func TestSingleUEMatchesBed(t *testing.T) {
 	if got, want := len(ue.QxDM.Log().PDUs), len(bed.QxDM.Log().PDUs); got != want {
 		t.Errorf("radio logs diverge: %d vs %d PDUs", got, want)
 	}
+
+	// Pin the fleet side's bytes across commits, not just against the bed.
+	var metrics, capture, radioLog bytes.Buffer
+	if err := ue.Metrics.Snapshot().WriteNDJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := ue.Capture.Write(&capture); err != nil {
+		t.Fatal(err)
+	}
+	if err := ue.QxDM.Log().Write(&radioLog); err != nil {
+		t.Fatal(err)
+	}
+	behavior, err := json.Marshal(ue.Log.Entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, "single-ue/report", []byte(report))
+	checkDigest(t, "single-ue/trace", fleetTrace.Bytes())
+	checkDigest(t, "single-ue/metrics", metrics.Bytes())
+	checkDigest(t, "single-ue/behavior", behavior)
+	checkDigest(t, "single-ue/pcap", capture.Bytes())
+	checkDigest(t, "single-ue/qxdm", radioLog.Bytes())
 }
 
 // TestFleet64Deterministic: a 64-UE contended run yields a byte-identical
-// aggregate report across reruns.
+// aggregate report across reruns, and across commits (its digest is pinned).
 func TestFleet64Deterministic(t *testing.T) {
 	run := func() string {
 		scen := fleet.Scenario{
@@ -85,6 +110,7 @@ func TestFleet64Deterministic(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("empty report")
 	}
+	checkDigest(t, "fleet64-pf/report", []byte(a))
 }
 
 // TestSweepWorkerCountDeterminism: fleet cells as sweep points produce

@@ -37,9 +37,10 @@ func runSharded(t *testing.T, scen fleet.Scenario, horizon time.Duration, opts .
 	return f, f.Report()
 }
 
-// TestShardedFleetGolden is the PR's determinism gate: a multi-cell mobile
-// fleet renders byte-identically at every worker count and GOMAXPROCS
-// setting, and the run actually exercises handovers.
+// TestShardedFleetGolden is the sharded determinism gate: a multi-cell
+// mobile fleet renders byte-identically at every worker count and
+// GOMAXPROCS setting and matches its pinned digest, and the run actually
+// exercises handovers.
 func TestShardedFleetGolden(t *testing.T) {
 	const horizon = 2 * time.Minute
 	run := func(workers int) (*fleet.Fleet, string) {
@@ -84,6 +85,7 @@ func TestShardedFleetGolden(t *testing.T) {
 	if got != golden {
 		t.Fatalf("GOMAXPROCS=4 render diverged from serial baseline")
 	}
+	checkDigest(t, "storm/report", []byte(golden))
 }
 
 // TestShardedStaticPinned: a multi-cell fleet without mobility pins each UE
