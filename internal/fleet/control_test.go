@@ -315,3 +315,39 @@ func TestCrossShardActionDelivery(t *testing.T) {
 		}
 	}
 }
+
+// TestLateControlHook: a hook registered between RunTo calls, off a
+// multiple of the shared period, fires on the same grid as the hooks
+// registered before the run, and does not silence them.
+func TestLateControlHook(t *testing.T) {
+	for _, cells := range []int{1, 2} {
+		scen := fleet.Scenario{Seed: 1, UEs: fleet.UniformUEs(2)}
+		if cells > 1 {
+			scen.Topology = &fleet.TopologySpec{Cells: cells}
+		}
+		f, err := fleet.Build(scen, fleet.WithHorizon(11*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var early, late []simtime.Time
+		f.OnControl(2*time.Second, func(tick fleet.ControlTick) {
+			if tick.Shard == 0 {
+				early = append(early, tick.At)
+			}
+		})
+		f.RunTo(1500 * time.Millisecond)
+		f.OnControl(2*time.Second, func(tick fleet.ControlTick) {
+			if tick.Shard == 0 {
+				late = append(late, tick.At)
+			}
+		})
+		f.RunTo(11 * time.Second)
+		if len(early) != 5 || len(late) != 5 {
+			t.Fatalf("%d cell(s): hooks fired %d and %d times, want 5 each (early %v, late %v)",
+				cells, len(early), len(late), early, late)
+		}
+		if !reflect.DeepEqual(early, late) || late[0] != simtime.Time(2*time.Second) {
+			t.Fatalf("%d cell(s): early hook fired at %v, late hook at %v", cells, early, late)
+		}
+	}
+}

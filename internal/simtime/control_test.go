@@ -98,3 +98,25 @@ func TestControlHookIgnoredByRun(t *testing.T) {
 		t.Fatalf("Run fired the control hook %d times", calls)
 	}
 }
+
+// TestControlHookMidRunPhase: a hook installed off a multiple of its
+// interval first fires at the next multiple, and one installed exactly on
+// a multiple skips the instant it was installed at (a hook there may
+// already have fired).
+func TestControlHookMidRunPhase(t *testing.T) {
+	k := NewKernel(1)
+	k.RunUntil(Time(1500 * time.Millisecond))
+	var at []Time
+	k.SetControlHook(Time(2*time.Second), func(now Time) { at = append(at, now) })
+	k.RunUntil(Time(6 * time.Second))
+	if len(at) != 3 || at[0] != Time(2*time.Second) || at[2] != Time(6*time.Second) {
+		t.Fatalf("hook installed at 1.5s fired at %v, want [2s 4s 6s]", at)
+	}
+
+	at = nil
+	k.SetControlHook(Time(2*time.Second), func(now Time) { at = append(at, now) })
+	k.RunUntil(Time(8 * time.Second))
+	if len(at) != 1 || at[0] != Time(8*time.Second) {
+		t.Fatalf("hook reinstalled at 6s fired at %v, want [8s]", at)
+	}
+}

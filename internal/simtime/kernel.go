@@ -382,16 +382,18 @@ func (k *Kernel) After(delay time.Duration, fn func()) Event {
 // event completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// SetControlHook installs fn to run at every multiple of interval (first
-// firing one interval from now) while RunUntil advances virtual time. The
-// hook is the kernel-safe point for runtime control: it executes between
-// events — before any event scheduled at the same instant — with the clock
-// set to the firing time, and it may schedule or cancel events. Unlike a
-// Ticker, a hook is not itself an event: it does not advance the processed
-// counter, draw from the kernel RNG, or take part in event tie-breaking,
-// so an inert hook leaves a run byte-identical to one without it. One hook
-// per kernel; pass nil fn to remove it. Run (run-to-drain) ignores the
-// hook — without a horizon a periodic hook would never stop firing.
+// SetControlHook installs fn to run at every multiple of interval while
+// RunUntil advances virtual time. The first firing is the next multiple
+// after now, so a hook installed mid-run keeps the phase of one installed
+// at zero. The hook is the kernel-safe point for runtime control: it
+// executes between events — before any event scheduled at the same
+// instant — with the clock set to the firing time, and it may schedule or
+// cancel events. Unlike a Ticker, a hook is not itself an event: it does
+// not advance the processed counter, draw from the kernel RNG, or take
+// part in event tie-breaking, so an inert hook leaves a run byte-identical
+// to one without it. One hook per kernel; pass nil fn to remove it. Run
+// (run-to-drain) ignores the hook — without a horizon a periodic hook
+// would never stop firing.
 func (k *Kernel) SetControlHook(interval Time, fn func(now Time)) {
 	if fn == nil {
 		k.ctlFn = nil
@@ -401,7 +403,7 @@ func (k *Kernel) SetControlHook(interval Time, fn func(now Time)) {
 		panic("simtime: control hook interval must be positive")
 	}
 	k.ctlEvery = interval
-	k.ctlNext = k.now + interval
+	k.ctlNext = (k.now/interval + 1) * interval
 	k.ctlFn = fn
 }
 
