@@ -70,7 +70,7 @@ type Report struct {
 	Seed     int64
 	Policy   radio.SchedPolicy
 	Workload string
-	// Cells is the number of cells simulated (1 = legacy single cell).
+	// Cells is the number of cells simulated (1 = one shared cell).
 	Cells int
 	// Horizon is the virtual time the simulation had reached when the
 	// report was taken (the last processed event's time).
@@ -196,9 +196,10 @@ func (r *Report) Value(name, col string) (v float64, ok bool) {
 	return 0, false
 }
 
-// Render formats the full fleet report deterministically. Single-cell
-// reports keep the legacy layout byte-for-byte; multi-cell reports add the
-// cell count to the header and per-UE serving-cell/handover columns.
+// Render formats the full fleet report deterministically. One-cell
+// reports use the original single-cell layout, whose bytes are pinned by
+// golden digests; multi-cell reports add the cell count to the header and
+// per-UE serving-cell/handover columns.
 func (r *Report) Render() string {
 	multi := r.Cells > 1
 	var b strings.Builder
@@ -240,7 +241,7 @@ func (r *Report) Render() string {
 	b.WriteString(atbl.String())
 
 	// The remediation section appears only when the control plane acted, so
-	// controller-free reports stay byte-identical to the legacy layout.
+	// controller-free reports keep the layout they had before remediation.
 	if n := r.totalInterventions(); n > 0 {
 		fmt.Fprintf(&b, "\n== Remediation: %d intervention(s) ==\n", n)
 		itbl := &metrics.Table{Headers: []string{"UE", "At", "Action", "Diagnosis", "Applied", "Energy", "Evidence"}}

@@ -9,22 +9,24 @@ import (
 	"repro/internal/simtime"
 )
 
-// Fleet is an assembled multi-UE lab. In the legacy single-cell mode one
-// kernel and one shared cell host every UE (K and Cell are set, Shards is
-// nil). With a multi-cell Topology the fleet is sharded — one kernel per
-// cell, advanced in lockstep epochs (Shards is set, K and Cell are nil).
-// Build it from a Scenario, Drive the workload (or drive the UEs
+// Fleet is an assembled multi-UE lab: one shard per cell, each shard an
+// event kernel hosting the full stacks of the UEs homed on its cell. A
+// multi-cell fleet advances its shards in lockstep epochs under a grid
+// Topo; a one-cell fleet is a single shard with no Topo, run without
+// barriers. Build it from a Scenario, Drive the workload (or drive the UEs
 // yourself), RunTo the horizon, then Report.
 type Fleet struct {
-	K    *simtime.Kernel
-	Cell *radio.Cell
-	UEs  []*UE
-	// Shards and Topo are set for multi-cell scenarios: one shard per
-	// topology cell, synchronized at X2Latency lookahead barriers.
+	// K is the kernel of a one-shard fleet (nil when the fleet is sharded
+	// across cells): a shorthand for Shards[0].K when there is only one.
+	K   *simtime.Kernel
+	UEs []*UE
+	// Shards holds one shard per cell. Topo is the cell grid of a
+	// multi-cell fleet, whose shards synchronize at X2Latency lookahead
+	// barriers; it is nil for a one-cell fleet.
 	Shards []*Shard
 	Topo   *radio.Topology
 	// Profiler is the kernel-wide wall-clock profiler (nil unless
-	// WithProfiler; sharded runs profile shard 0's kernel).
+	// WithProfiler; it profiles shard 0's kernel).
 	Profiler *obs.Profiler
 
 	scen Scenario
@@ -39,17 +41,20 @@ type Fleet struct {
 	controlState
 }
 
-// Build assembles a fleet without running it. UEs are constructed in spec
-// order; UE i lives at BaseAddr+i and its bearer is attached to the shared
-// cell in the same order, which is also the scheduler's tie-break order.
+// Build assembles a fleet without running it: one shard per cell, UE i
+// homed on cell i mod cells, every shard holding local instances of all
+// cells for kernel-local handover. UEs are constructed in spec order; UE i
+// lives at BaseAddr+i and its bearer is attached to its home cell in the
+// same order, which is also the scheduler's tie-break order.
+//
+// A one-cell fleet is one shard whose kernel takes the scenario seed
+// unmixed, with no Topo; its kernel trace goes to its UE when it has
+// exactly one. Shards of a multi-cell fleet take seeds mixed per shard.
 func Build(scen Scenario, opts ...Option) (*Fleet, error) {
 	if err := scen.validate(); err != nil {
 		return nil, err
 	}
 	o := resolveOptions(opts)
-	if scen.sharded() {
-		return buildSharded(scen, o)
-	}
 	prof := scen.Cell.Profile
 	if prof == nil {
 		prof = radio.ProfileLTE()
@@ -59,20 +64,91 @@ func Build(scen Scenario, opts ...Option) (*Fleet, error) {
 		coreDelay = defaultCoreDelay(prof.Tech)
 	}
 
-	k := simtime.NewKernel(scen.Seed)
-	cell := radio.NewCell(k, scen.Cell.Policy)
-	f := &Fleet{K: k, Cell: cell, scen: scen, opts: o}
+	f := &Fleet{scen: scen, opts: o}
+	ncells := scen.cellCount()
+	if ncells > 1 {
+		ts := scen.Topology
+		f.Topo = radio.NewGridTopology(ncells, ts.SpacingM)
+		if ts.X2Latency > 0 {
+			f.Topo.X2Latency = ts.X2Latency
+		}
+		if ts.PathLossExp > 0 {
+			f.Topo.PathLossExp = ts.PathLossExp
+		}
+	}
+	for s := 0; s < ncells; s++ {
+		seed := scen.Seed
+		if f.Topo != nil {
+			seed = shardSeed(scen.Seed, s)
+		}
+		sh := &Shard{Index: s, K: simtime.NewKernel(seed)}
+		for c := 0; c < ncells; c++ {
+			sh.Cells = append(sh.Cells, radio.NewCellID(sh.K, scen.Cell.Policy, c))
+		}
+		f.Shards = append(f.Shards, sh)
+	}
+	if f.Topo == nil {
+		f.K = f.Shards[0].K
+	}
+	// One UE on one kernel: the kernel's own spans belong to it.
+	kernelTrace := f.Topo == nil && len(scen.UEs) == 1
+
 	addr := BaseAddr
 	for i, spec := range scen.UEs {
-		ue := buildUE(k, cell, prof, coreDelay, i, addr, spec, scen.Seed, o, len(scen.UEs) == 1)
+		home := i % ncells
+		sh := f.Shards[home]
+
+		var mover *radio.Mover
+		deviceGain := spec.Gain
+		if deviceGain <= 0 {
+			deviceGain = 1
+		}
+		buildSpec := spec
+		if scen.Mobility != nil {
+			u, v := uePos(scen.Seed, i)
+			x, y := f.Topo.HomePos(home, u, v)
+			mover = radio.NewMover(scen.Seed, i, f.Topo, scen.Mobility.SpeedMps, x, y)
+			// The bearer's initial gain is the path gain at the spawn point
+			// composed with the spec's device-quality multiplier; the roamer
+			// refreshes it every measurement tick.
+			buildSpec.Gain = f.Topo.Gain(home, x, y) * deviceGain
+		}
+
+		ue := buildUE(sh.K, sh.Cells[home], prof, coreDelay, i, addr, buildSpec, scen.Seed, o, kernelTrace)
+		ue.Shard = home
+		ue.HomeCell = home
+		if m := scen.Mobility; m != nil {
+			ue.Roamer = radio.NewRoamer(ue.Net.Bearer, f.Topo, sh.Cells, mover, home, radio.RoamConfig{
+				Interval:     m.Interval,
+				Hysteresis:   m.Hysteresis,
+				TTT:          m.TTT,
+				Interruption: m.Interruption,
+				DeviceGain:   deviceGain,
+			})
+			ue.Roamer.SetObs(ue.Trace, ue.Metrics)
+			ue.Roamer.Start()
+		}
+		sh.UEs = append(sh.UEs, ue)
 		f.UEs = append(f.UEs, ue)
 		addr = addr.Next()
 	}
+
 	if o.profiler {
+		// Wall-clock profiling is inherently non-deterministic; attach it to
+		// shard 0's kernel as a representative sample.
 		f.Profiler = obs.NewProfiler()
-		k.SetProfiler(f.Profiler)
+		f.Shards[0].K.SetProfiler(f.Profiler)
 		for _, ue := range f.UEs {
 			ue.Profiler = f.Profiler
+		}
+	}
+
+	if f.Topo != nil {
+		f.airUL = make([][]simtime.Time, ncells)
+		f.airDL = make([][]simtime.Time, ncells)
+		for c := range f.airUL {
+			f.airUL[c] = make([]simtime.Time, ncells)
+			f.airDL[c] = make([]simtime.Time, ncells)
 		}
 	}
 	return f, nil
@@ -96,13 +172,14 @@ func (f *Fleet) Drive() {
 	}
 }
 
-// RunTo advances the simulation to the horizon: directly on the single
-// kernel, or in parallel lockstep epochs (window = X2 latency) across the
-// shards. Sharded results are byte-identical at any worker count.
+// RunTo advances the simulation to the horizon in parallel lockstep epochs
+// (window = X2 latency) across the shards; results are byte-identical at
+// any worker count. A one-cell fleet has no peer shard to exchange with,
+// so its one kernel runs straight to the horizon with no barriers.
 func (f *Fleet) RunTo(horizon time.Duration) {
 	f.installControl()
-	if len(f.Shards) == 0 {
-		f.K.RunUntil(horizon)
+	if f.Topo == nil {
+		f.Shards[0].K.RunUntil(horizon)
 		return
 	}
 	kernels := make([]*simtime.Kernel, len(f.Shards))
@@ -117,13 +194,9 @@ func (f *Fleet) RunTo(horizon time.Duration) {
 	})
 }
 
-// now returns the current virtual time across either mode.
-func (f *Fleet) now() simtime.Time {
-	if f.K != nil {
-		return f.K.Now()
-	}
-	return f.Shards[0].K.Now()
-}
+// now returns the fleet's virtual time (every shard's clock agrees
+// between RunTo calls).
+func (f *Fleet) now() simtime.Time { return f.Shards[0].K.Now() }
 
 // CloseObs finalizes every UE's open observability state. Idempotent.
 func (f *Fleet) CloseObs() {

@@ -1,8 +1,10 @@
-// Package fleet simulates many UEs sharing one cell: each device gets its
+// Package fleet simulates many UEs sharing a cell: each device gets its
 // own RRC machine, network stack, apps, behavior log, and observability
 // scope, while a cell-level scheduler multiplexes RLC service among the
 // active bearers — so cross-UE contention, queueing delay, and RRC
-// promotion storms emerge from the model instead of being scripted.
+// promotion storms emerge from the model instead of being scripted. Every
+// fleet runs as shards, one event kernel per cell; a one-cell fleet is a
+// single shard, a grid of cells advances its shards in lockstep.
 //
 // The package also owns the Scenario description that replaced the flat
 // testbed.Options: a Scenario composes a cell, a list of UE specs, and a
@@ -65,10 +67,11 @@ type UESpec struct {
 	DisablePcap bool
 }
 
-// TopologySpec describes a multi-cell layout. Nil (the default) keeps the
-// legacy single shared cell on one kernel; Cells > 1 shards the simulation
-// one kernel per cell, advanced in parallel under conservative-lookahead
-// synchronization with the X2 latency as the safe window.
+// TopologySpec describes a multi-cell layout. Nil (the default) or
+// Cells == 1 is one shared cell: a single shard on one kernel, with no
+// grid. Cells > 1 shards the simulation one kernel per cell, advanced in
+// parallel under conservative-lookahead synchronization with the X2
+// latency as the safe window.
 type TopologySpec struct {
 	// Cells is the number of base-station sites (grid layout). UE i homes
 	// on cell i mod Cells.
@@ -126,11 +129,6 @@ type Scenario struct {
 	Remedy *RemedySpec
 }
 
-// sharded reports whether this scenario runs one kernel per cell.
-func (s *Scenario) sharded() bool {
-	return s.Topology != nil && s.Topology.Cells > 1
-}
-
 // UniformUEs returns n identical UE specs with gain 1 — the common
 // homogeneous-fleet case.
 func UniformUEs(n int) []UESpec {
@@ -185,13 +183,13 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("fleet: negative path-loss exponent %v", t.PathLossExp)
 		}
 		if t.Cells == 1 && (t.SpacingM > 0 || t.X2Latency > 0 || t.PathLossExp > 0) {
-			// A 1-cell topology runs on the legacy single-kernel path, where
-			// these knobs are silently meaningless — reject instead.
+			// A 1-cell topology is one shard with no grid, where these
+			// knobs would be silently meaningless — reject instead.
 			return fmt.Errorf("fleet: 1-cell topology ignores spacing/X2/path-loss settings; use Cells > 1 or drop them")
 		}
 	}
 	if m := s.Mobility; m != nil {
-		if !s.sharded() {
+		if s.cellCount() < 2 {
 			return fmt.Errorf("fleet: mobility requires a multi-cell topology (got %d cell(s))", s.cellCount())
 		}
 		if m.SpeedMps < 0 {
@@ -275,10 +273,10 @@ func WithHorizon(d time.Duration) Option {
 	return func(o *options) { o.horizon = d }
 }
 
-// WithWorkers caps the goroutines advancing shards in a sharded run
+// WithWorkers caps the goroutines advancing shards in a multi-cell run
 // (<= 0 = GOMAXPROCS, 1 = fully serial). Worker count affects wall clock
-// only — results are byte-identical at any setting. No-op for
-// single-kernel runs.
+// only — results are byte-identical at any setting. No-op for a one-cell
+// fleet, whose single shard runs on the calling goroutine.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }

@@ -3,15 +3,15 @@ package fleet
 import (
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/simtime"
 )
 
-// Shard is one cell's slice of a sharded fleet: its own event kernel
-// hosting the full stacks of every UE homed on the cell, plus a local
-// instance of every topology cell so handovers stay kernel-local (a UE's
-// stack captures its kernel at construction and cannot migrate).
+// Shard is one cell's slice of a fleet: its own event kernel hosting the
+// full stacks of every UE homed on the cell, plus a local instance of
+// every topology cell so handovers stay kernel-local (a UE's stack
+// captures its kernel at construction and cannot migrate). A one-cell
+// fleet is a single shard.
 //
 // Cross-shard contention on the same topology cell is modeled at epoch
 // granularity: at every lookahead barrier the shards exchange per-cell
@@ -55,99 +55,6 @@ func uePos(seed int64, index int) (u, v float64) {
 	z ^= z >> 31
 	v = float64(z>>11) / float64(1<<53)
 	return u, v
-}
-
-// buildSharded assembles a multi-cell fleet: one kernel per cell, UE i
-// homed on cell i mod Cells, every shard holding local instances of all
-// cells for kernel-local handover.
-func buildSharded(scen Scenario, o options) (*Fleet, error) {
-	ts := scen.Topology
-	prof := scen.Cell.Profile
-	if prof == nil {
-		prof = radio.ProfileLTE()
-	}
-	coreDelay := scen.Cell.CoreDelay
-	if coreDelay == 0 {
-		coreDelay = defaultCoreDelay(prof.Tech)
-	}
-
-	topo := radio.NewGridTopology(ts.Cells, ts.SpacingM)
-	if ts.X2Latency > 0 {
-		topo.X2Latency = ts.X2Latency
-	}
-	if ts.PathLossExp > 0 {
-		topo.PathLossExp = ts.PathLossExp
-	}
-
-	f := &Fleet{Topo: topo, scen: scen, opts: o}
-	ncells := ts.Cells
-	for s := 0; s < ncells; s++ {
-		sh := &Shard{Index: s, K: simtime.NewKernel(shardSeed(scen.Seed, s))}
-		for c := 0; c < ncells; c++ {
-			sh.Cells = append(sh.Cells, radio.NewCellID(sh.K, scen.Cell.Policy, c))
-		}
-		f.Shards = append(f.Shards, sh)
-	}
-
-	addr := BaseAddr
-	for i, spec := range scen.UEs {
-		s := i % ncells
-		sh := f.Shards[s]
-		home := s
-
-		var mover *radio.Mover
-		deviceGain := spec.Gain
-		if deviceGain <= 0 {
-			deviceGain = 1
-		}
-		buildSpec := spec
-		if scen.Mobility != nil {
-			u, v := uePos(scen.Seed, i)
-			x, y := topo.HomePos(home, u, v)
-			mover = radio.NewMover(scen.Seed, i, topo, scen.Mobility.SpeedMps, x, y)
-			// The bearer's initial gain is the path gain at the spawn point
-			// composed with the spec's device-quality multiplier; the roamer
-			// refreshes it every measurement tick.
-			buildSpec.Gain = topo.Gain(home, x, y) * deviceGain
-		}
-
-		ue := buildUE(sh.K, sh.Cells[home], prof, coreDelay, i, addr, buildSpec, scen.Seed, o, false)
-		ue.Shard = s
-		ue.HomeCell = home
-		if scen.Mobility != nil {
-			m := scen.Mobility
-			ue.Roamer = radio.NewRoamer(ue.Net.Bearer, topo, sh.Cells, mover, home, radio.RoamConfig{
-				Interval:     m.Interval,
-				Hysteresis:   m.Hysteresis,
-				TTT:          m.TTT,
-				Interruption: m.Interruption,
-				DeviceGain:   deviceGain,
-			})
-			ue.Roamer.SetObs(ue.Trace, ue.Metrics)
-			ue.Roamer.Start()
-		}
-		sh.UEs = append(sh.UEs, ue)
-		f.UEs = append(f.UEs, ue)
-		addr = addr.Next()
-	}
-
-	if o.profiler {
-		// Wall-clock profiling is inherently non-deterministic; attach it to
-		// shard 0's kernel as a representative sample.
-		f.Profiler = obs.NewProfiler()
-		f.Shards[0].K.SetProfiler(f.Profiler)
-		for _, ue := range f.UEs {
-			ue.Profiler = f.Profiler
-		}
-	}
-
-	f.airUL = make([][]simtime.Time, ncells)
-	f.airDL = make([][]simtime.Time, ncells)
-	for c := range f.airUL {
-		f.airUL[c] = make([]simtime.Time, ncells)
-		f.airDL[c] = make([]simtime.Time, ncells)
-	}
-	return f, nil
 }
 
 // exchange is the lockstep barrier: collect every shard's airtime on every

@@ -192,3 +192,28 @@ func TestShardedValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOneCellIsOneShard: a one-cell scenario, with or without a 1-cell
+// topology, builds one shard that hosts every UE, with no grid; K is that
+// shard's kernel and is set only for one-shard fleets.
+func TestOneCellIsOneShard(t *testing.T) {
+	for _, topo := range []*fleet.TopologySpec{nil, {Cells: 1}} {
+		f, err := fleet.Build(fleet.Scenario{Seed: 9, Topology: topo, UEs: fleet.UniformUEs(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Shards) != 1 || f.Topo != nil {
+			t.Fatalf("topology %+v: %d shard(s), topo %v; want one shard, no grid", topo, len(f.Shards), f.Topo)
+		}
+		if f.K == nil || f.K != f.Shards[0].K || len(f.Shards[0].UEs) != 3 {
+			t.Fatalf("topology %+v: K is not the one shard's kernel hosting every UE", topo)
+		}
+	}
+	f, err := fleet.Build(fleet.Scenario{Seed: 9, Topology: &fleet.TopologySpec{Cells: 2}, UEs: fleet.UniformUEs(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.K != nil {
+		t.Fatal("K is set on a two-shard fleet")
+	}
+}

@@ -36,9 +36,10 @@ type UE struct {
 	Name  string
 	Addr  netip.Addr
 
-	// Shard and HomeCell locate the UE in a sharded multi-cell fleet (both
-	// zero in the legacy single-cell mode). Roamer, when set, drives the
-	// UE's mobility and handover state machine.
+	// Shard and HomeCell locate the UE: the shard whose kernel hosts it and
+	// the cell it homes on (the same index; both zero in a one-cell fleet).
+	// Roamer, when set, drives the UE's mobility and handover state
+	// machine.
 	Shard    int
 	HomeCell int
 	Roamer   *radio.Roamer
@@ -107,11 +108,12 @@ func defaultCoreDelay(tech radio.Tech) time.Duration {
 	}
 }
 
-// buildUE assembles one UE on the shared kernel and cell. The construction
-// order mirrors the legacy testbed.New exactly — construction-time event
-// scheduling (outage timers) determines kernel tie-breaking, so reordering
-// would silently change results.
-func buildUE(k *simtime.Kernel, cell *radio.Cell, prof *radio.Profile, coreDelay time.Duration, index int, addr netip.Addr, spec UESpec, seed int64, o options, singleUE bool) *UE {
+// buildUE assembles one UE on its shard's kernel and home cell. The
+// construction order is fixed — construction-time event scheduling (outage
+// timers) determines kernel tie-breaking, so reordering would silently
+// change results. kernelTrace hands the kernel's own spans to the UE's
+// trace (the one-UE, one-kernel case).
+func buildUE(k *simtime.Kernel, cell *radio.Cell, prof *radio.Profile, coreDelay time.Duration, index int, addr netip.Addr, spec UESpec, seed int64, o options, kernelTrace bool) *UE {
 	net := netsim.NewNetwork(k, prof, addr, coreDelay)
 	cell.Attach(net.Bearer, spec.Gain)
 	servers := serversim.Install(net)
@@ -160,9 +162,7 @@ func buildUE(k *simtime.Kernel, cell *radio.Cell, prof *radio.Profile, coreDelay
 	if o.trace || o.metrics {
 		if o.trace {
 			ue.Trace = obs.NewTrace()
-			if singleUE {
-				// One UE: the kernel's own spans belong to it, exactly as
-				// in the legacy Bed.
+			if kernelTrace {
 				k.SetTrace(ue.Trace)
 			} else {
 				ue.Trace.Bind(func() time.Duration { return time.Duration(k.Now()) })
@@ -221,8 +221,8 @@ func (ue *UE) CloseObs() {
 }
 
 // ServingCellAt returns the UE's serving cell ID at virtual time t: the
-// roamer's history for mobile UEs, the home cell otherwise (0 in the
-// legacy single-cell mode).
+// roamer's history for mobile UEs, the home cell otherwise (0 in a
+// one-cell fleet).
 func (ue *UE) ServingCellAt(t simtime.Time) int {
 	if ue.Roamer != nil {
 		return ue.Roamer.ServingAt(t)
