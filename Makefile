@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all analyzer-golden sweep sweep-golden
+.PHONY: build test test-short verify sharded-golden cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all sweep sweep-golden
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,11 @@ test-short: build
 # qoestore chaos drills. Each simulation kernel is single-goroutine by
 # design, but the sweep engine runs whole testbeds on concurrent goroutines,
 # so -race exercises real concurrency (internal/sweep's parallel-vs-serial
-# golden runs under it). It ends with a 10 s fuzz of the message framing
-# and the benchmark's ~10 s smoke test; `make bench-remedy-compare`
-# (~20 min) stays available on its own.
+# golden runs under it). The suite also checks every pinned output digest:
+# the fleet goldens (internal/fleet/testdata) and the whole experiment
+# registry (internal/experiments/testdata). It ends with a 10 s fuzz of the
+# message framing and the benchmark's ~10 s smoke test;
+# `make bench-remedy-compare` (~20 min) stays available on its own.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -35,9 +37,10 @@ verify: build
 	cd bench && $(GO) test .
 
 # The sharded fleet's determinism contract, pinned at both extremes of
-# runtime parallelism: the multi-cell mobility golden must render
-# byte-identically at GOMAXPROCS=1 and GOMAXPROCS=4 (the test also sweeps
-# shard worker counts internally).
+# runtime parallelism: the multi-cell mobility goldens (plain and
+# remediated) must render byte-identically at GOMAXPROCS=1 and
+# GOMAXPROCS=4 and match their pinned digests (the tests also sweep shard
+# worker counts internally).
 sharded-golden:
 	GOMAXPROCS=1 $(GO) test -run TestShardedFleetGolden -count=1 ./internal/fleet/
 	GOMAXPROCS=4 $(GO) test -run TestShardedFleetGolden -count=1 ./internal/fleet/
@@ -72,7 +75,8 @@ bench:
 
 # PR 4 analyzer performance record: the linear-vs-indexed long-jump mapper
 # and the serial-vs-parallel cross-layer engine on the mapping-heavy 3G
-# browsing workload. Writes BENCH_PR4.json and fails if the indexed mapper
+# browsing workload (the linear mapper and serial engine are test-only
+# oracles). Writes BENCH_PR4.json and fails if the indexed mapper
 # falls under the 3x speedup floor.
 bench-analyzer:
 	BENCH_PR4_JSON=$(CURDIR)/BENCH_PR4.json $(GO) test -run TestWriteBenchPR4JSON -v ./internal/core/analyzer/
@@ -128,11 +132,6 @@ bench-qoemon:
 
 # Every per-PR benchmark record in one pass.
 bench-all: bench bench-analyzer bench-fleet bench-remedy bench-qoestore bench-qoemon
-
-# Serial-vs-parallel analyzer equivalence over the whole experiment
-# registry (the default test run covers a fast subset).
-analyzer-golden:
-	ANALYZER_GOLDEN_FULL=1 $(GO) test -run TestAnalyzerEngineGolden -v ./internal/experiments/
 
 # Run the full experiment sweep on all cores.
 sweep: build

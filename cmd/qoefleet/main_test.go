@@ -29,6 +29,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		want string
 	}{
 		{"unknown flag", []string{"-bogus"}, ""},
+		{"retired analyzer flag", []string{"-analyzer", "serial"}, "flag provided but not defined"},
 		{"positional args", []string{"extra"}, "unexpected arguments"},
 		{"zero ues", []string{"-ues", "0"}, "-ues must be positive"},
 		{"negative horizon", []string{"-horizon", "-1s"}, "-horizon must be positive"},
@@ -37,7 +38,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad network", []string{"-network", "5g"}, "unknown network"},
 		{"bad gains", []string{"-gains", "fast"}, "bad -gains"},
 		{"negative gains", []string{"-gains", "-1:2"}, "bad -gains"},
-		{"bad engine", []string{"-analyzer", "quantum"}, "unknown analyzer engine"},
 		{"zero cells", []string{"-cells", "0"}, "-cells must be at least 1"},
 		{"negative mobility", []string{"-mobility", "-3"}, "-mobility must not be negative"},
 		{"mobility without cells", []string{"-mobility", "10"}, "-mobility needs a multi-cell topology"},

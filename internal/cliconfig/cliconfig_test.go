@@ -34,7 +34,6 @@ func sample() Scenario {
 			DisableRRCRetune: true,
 			Cells:            []int{0, 2},
 		},
-		Analyzer: "parallel",
 	}
 }
 
@@ -89,6 +88,11 @@ func TestLoadFileAndStdin(t *testing.T) {
 
 	if _, err := Load("-", strings.NewReader(`{"uez": 4}`)); err == nil {
 		t.Fatal("unknown field accepted silently")
+	}
+	// There is one analyzer, so the retired engine key is just unknown.
+	if _, err := Load("-", strings.NewReader(`{"analyzer": "serial"}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "analyzer"`) {
+		t.Fatalf("retired analyzer key: err = %v, want an unknown-field error", err)
 	}
 	if _, err := Load("-", strings.NewReader(`{"horizon": true}`)); err == nil {
 		t.Fatal("bad duration type accepted")

@@ -85,7 +85,7 @@ func BenchmarkCrossLayerParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyzer.NewCrossLayerParallelForTest(w.sess)
+		analyzer.NewCrossLayer(w.sess)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestWriteBenchPR4JSON(t *testing.T) {
 	})
 	parallel := bestOf(3, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analyzer.NewCrossLayerParallelForTest(w.sess)
+			analyzer.NewCrossLayer(w.sess)
 		}
 	})
 	rec.CrossLayer.Serial = record(serial)
@@ -230,7 +230,7 @@ func TestBenchComparePR4(t *testing.T) {
 	})
 	check("cross_layer/parallel", want.CrossLayer.Parallel, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analyzer.NewCrossLayerParallelForTest(w.sess)
+			analyzer.NewCrossLayer(w.sess)
 		}
 	})
 }

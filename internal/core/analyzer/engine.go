@@ -8,54 +8,16 @@ import (
 	"repro/internal/radio"
 )
 
-// Engine selects the cross-layer analyzer implementation.
-type Engine int32
-
-const (
-	// EngineParallel is the default: a pipelined, index-backed engine. The
-	// capture is decoded exactly once into a shared read-only form, then
-	// flow reassembly, PDU dedup/indexing, packet splitting, the radio
-	// coverage audit, the two directional long-jump mappings, and the
-	// trace cross-check run as concurrent stages joined by a deterministic
-	// merge — the per-layer passes of QoE Doctor §5 are independent until
-	// the final binding, which is exactly the shape that parallelizes.
-	EngineParallel Engine = iota
-	// EngineSerial is the seed batch analyzer: one goroutine, linear
-	// resync scans. Retained as the equivalence reference for golden
-	// tests and A/B benchmarks (qoedoctor -analyzer=serial).
-	EngineSerial
-)
-
-// Option configures one analysis call.
-type Option func(*config)
-
-type config struct {
-	engine Engine
-}
-
-// WithEngine selects the analyzer implementation for this call only,
-// overriding the process-wide default.
-func WithEngine(e Engine) Option {
-	return func(c *config) { c.engine = e }
-}
-
 // NewCrossLayer runs flow extraction and both long-jump mappings. Missing or
 // truncated inputs produce Warnings and a partial analysis rather than an
-// error: the tool should still explain what it can observe. Both engines
-// produce byte-identical results; see DESIGN.md §10 for the determinism
-// argument.
-func NewCrossLayer(sess *qoe.Session, opts ...Option) *CrossLayer {
-	cfg := config{engine: EngineParallel}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.engine == EngineSerial {
-		return newCrossLayerSerial(sess)
-	}
-	return newCrossLayerParallel(sess)
-}
-
-// newCrossLayerParallel is the indexed concurrent engine.
+// error: the tool should still explain what it can observe.
+//
+// The engine is pipelined and index-backed: the capture is decoded exactly
+// once into a shared read-only form, then the per-layer passes of QoE
+// Doctor §5 — independent until the final binding — run as concurrent
+// stages joined by a deterministic merge. Its output is byte-identical to
+// the seed's serial analyzer, which the package tests keep as an oracle
+// (see DESIGN.md §10 and §18).
 //
 // Stage graph (edges are WaitGroup barriers, so every cross-stage read is
 // ordered by a happens-before edge):
@@ -72,7 +34,7 @@ func NewCrossLayer(sess *qoe.Session, opts ...Option) *CrossLayer {
 // only order-sensitive output is Warnings, which the final merge assembles
 // in the seed engine's fixed order (capture, radio, trace) regardless of
 // stage completion order. No stage iterates a map into an output.
-func newCrossLayerParallel(sess *qoe.Session) *CrossLayer {
+func NewCrossLayer(sess *qoe.Session) *CrossLayer {
 	c := &CrossLayer{Session: sess}
 	predecode(sess.Packets)
 
@@ -127,34 +89,6 @@ func newCrossLayerParallel(sess *qoe.Session) *CrossLayer {
 	return c
 }
 
-// newCrossLayerSerial is the seed analyzer, preserved verbatim (single
-// goroutine, linear resync scans) as the reference implementation.
-func newCrossLayerSerial(sess *qoe.Session) *CrossLayer {
-	c := &CrossLayer{Session: sess}
-	defer func() {
-		if len(sess.Trace) > 0 {
-			c.CrossCheckTrace(sess.Trace)
-		}
-	}()
-	c.Flows = ExtractFlows(sess.Packets, sess.DeviceAddr)
-	if len(sess.Packets) == 0 {
-		c.warn("packet capture empty or absent; transport-layer analysis unavailable")
-	}
-	if sess.Radio == nil {
-		if len(sess.Packets) > 0 {
-			c.warn("QxDM log absent; radio-layer breakdowns unavailable")
-		}
-		return c
-	}
-	c.Warnings = append(c.Warnings, radioCoverageWarnings(sess)...)
-	c.ULPDUs = dedupPDUs(directionPDUs(sess.Radio.PDUs, radio.Uplink))
-	c.DLPDUs = dedupPDUs(directionPDUs(sess.Radio.PDUs, radio.Downlink))
-	c.ulPackets, c.dlPackets = splitPackets(sess)
-	c.ULMap = longJumpMapLinear(c.ulPackets, c.ULPDUs)
-	c.DLMap = longJumpMapLinear(c.dlPackets, c.DLPDUs)
-	return c
-}
-
 // directionPDUs filters one direction's data PDUs out of the radio log.
 func directionPDUs(pdus []qxdm.PDURecord, dir radio.Direction) []qxdm.PDURecord {
 	var out []qxdm.PDURecord
@@ -195,9 +129,9 @@ type Pending struct {
 // so a caller can overlap the analysis of a finished run with the
 // simulation of the next one — the pipeline shape sweeps and multi-bed
 // experiments want now that analysis, not simulation, dominates a cell.
-func Analyze(sess *qoe.Session, opts ...Option) *Pending {
+func Analyze(sess *qoe.Session) *Pending {
 	p := &Pending{ch: make(chan *CrossLayer, 1)}
-	go func() { p.ch <- NewCrossLayer(sess, opts...) }()
+	go func() { p.ch <- NewCrossLayer(sess) }()
 	return p
 }
 

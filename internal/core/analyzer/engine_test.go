@@ -56,8 +56,8 @@ func browseSession(seed int64, profile *radio.Profile, pages int, trace bool) *q
 	return b.Session(log)
 }
 
-// The parallel engine must produce a CrossLayer deeply equal to the serial
-// seed engine — flows, PDU slices, both mappings, and Warnings in the same
+// NewCrossLayer must produce a CrossLayer deeply equal to the serial seed
+// oracle — flows, PDU slices, both mappings, and Warnings in the same
 // order — on realistic sessions covering both bearers, both traffic
 // directions, and the trace cross-check stage.
 func TestParallelEngineMatchesSerial(t *testing.T) {
@@ -70,7 +70,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	for name, sess := range sessions {
 		t.Run(name, func(t *testing.T) {
 			want := analyzer.NewCrossLayerSerialForTest(sess)
-			got := analyzer.NewCrossLayerParallelForTest(sess)
+			got := analyzer.NewCrossLayer(sess)
 			if !reflect.DeepEqual(got.Flows, want.Flows) {
 				t.Errorf("Flows diverge")
 			}
@@ -92,36 +92,17 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// Degenerate inputs must warn identically in both engines.
+// Degenerate inputs must warn exactly as the serial seed oracle does.
 func TestEngineDegenerateSessions(t *testing.T) {
 	empty := &qoe.Session{Profile: radio.ProfileLTE(), DeviceAddr: testbed.DeviceAddr}
 	noRadio := browseSession(15, radio.ProfileLTE(), 1, false)
 	noRadio.Radio = nil
 	for name, sess := range map[string]*qoe.Session{"empty": empty, "no-radio": noRadio} {
 		want := analyzer.NewCrossLayerSerialForTest(sess)
-		got := analyzer.NewCrossLayerParallelForTest(sess)
+		got := analyzer.NewCrossLayer(sess)
 		if !reflect.DeepEqual(got.Warnings, want.Warnings) {
 			t.Errorf("%s: warnings diverge:\n got %q\nwant %q", name, got.Warnings, want.Warnings)
 		}
-	}
-}
-
-// WithEngine selects the implementation per call: an explicit serial
-// selection must reproduce the serial reference exactly, and the default
-// (no option) must be the parallel engine.
-func TestWithEngineDispatch(t *testing.T) {
-	sess := browseSession(16, radio.ProfileLTE(), 2, false)
-	serial := analyzer.NewCrossLayer(sess, analyzer.WithEngine(analyzer.EngineSerial))
-	want := analyzer.NewCrossLayerSerialForTest(sess)
-	if !reflect.DeepEqual(serial.Warnings, want.Warnings) ||
-		!reflect.DeepEqual(serial.ULMap, want.ULMap) || !reflect.DeepEqual(serial.DLMap, want.DLMap) {
-		t.Fatal("WithEngine(EngineSerial) did not dispatch to the serial engine")
-	}
-	def := analyzer.NewCrossLayer(sess)
-	par := analyzer.NewCrossLayer(sess, analyzer.WithEngine(analyzer.EngineParallel))
-	if !reflect.DeepEqual(def.Warnings, par.Warnings) ||
-		!reflect.DeepEqual(def.ULMap, par.ULMap) || !reflect.DeepEqual(def.DLMap, par.DLMap) {
-		t.Fatal("default engine diverges from explicit WithEngine(EngineParallel)")
 	}
 }
 

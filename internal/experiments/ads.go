@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/analyzer"
-
 	"repro/internal/apps/youtube"
 	"repro/internal/metrics"
 	"repro/internal/radio"
@@ -71,7 +69,7 @@ func adsRun(seed int64, prof *radio.Profile, adsEnabled bool, ids []string) []ad
 // RunAdsImpact regenerates the §7.6 study: ads reduce the main video's own
 // loading time (it preloads during the ad) but increase the total loading
 // time, roughly doubling it on cellular.
-func RunAdsImpact(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunAdsImpact(seed int64, p Params) *Result {
 	r := &Result{ID: "sec7.6", Title: "Impact of video ads on loading time (§7.6)"}
 	// Catalog videos with digit divisible by 3 carry a pre-roll ad.
 	ids := []string{"a0", "c3", "f6", "h9", "k0", "m3", "p6", "s9", "v0", "x3"}

@@ -77,7 +77,7 @@ var postFreqCases = []struct {
 
 // RunBackgroundData regenerates Fig. 10: per-flow mobile data consumption
 // by friend post-upload frequency (16 h, default 1-hour refresh interval).
-func RunBackgroundData(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunBackgroundData(seed int64, p Params) *Result {
 	r := &Result{ID: "fig10", Title: "Background data consumption by post upload frequency (Fig. 10)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 10: Facebook background data over 16 h (uplink/downlink)",
@@ -100,7 +100,7 @@ func RunBackgroundData(seed int64, p Params, opts ...analyzer.Option) *Result {
 
 // RunBackgroundEnergy regenerates Fig. 11: estimated network energy by post
 // upload frequency, split into tail and non-tail.
-func RunBackgroundEnergy(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunBackgroundEnergy(seed int64, p Params) *Result {
 	r := &Result{ID: "fig11", Title: "Background energy consumption by post upload frequency (Fig. 11)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 11: estimated radio energy over 16 h",
@@ -132,7 +132,7 @@ var refreshCases = []struct {
 
 // RunRefreshData regenerates Fig. 12: data consumption by refresh-interval
 // configuration, with a friend posting every 30 minutes.
-func RunRefreshData(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRefreshData(seed int64, p Params) *Result {
 	r := &Result{ID: "fig12", Title: "Data consumption by refresh interval (Fig. 12)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 12: Facebook background data over 16 h (friend posts every 30 min)",
@@ -157,7 +157,7 @@ func RunRefreshData(seed int64, p Params, opts ...analyzer.Option) *Result {
 }
 
 // RunRefreshEnergy regenerates Fig. 13: energy by refresh interval.
-func RunRefreshEnergy(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRefreshEnergy(seed int64, p Params) *Result {
 	r := &Result{ID: "fig13", Title: "Energy consumption by refresh interval (Fig. 13)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 13: estimated radio energy over 16 h (friend posts every 30 min)",

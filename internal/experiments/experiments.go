@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core/analyzer"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 )
@@ -125,14 +124,13 @@ func (r *Result) Render() string {
 
 // Experiment is a registered, reproducible experiment. Run is a pure
 // function of the seed and Params (Params{} reproduces the paper-exact
-// defaults); the optional analyzer options select the cross-layer engine
-// per call (the engine-equivalence golden test runs every experiment under
-// both), replacing the retired process-wide analyzer.SetEngine default.
+// defaults; testdata/registry.sha256 pins every experiment's output at
+// seed 77).
 type Experiment struct {
 	ID    string
 	Title string // the paper artifact it regenerates
 	Goal  string // Table 2's experiment-goal column
-	Run   func(seed int64, p Params, opts ...analyzer.Option) *Result
+	Run   func(seed int64, p Params) *Result
 }
 
 // Registry lists every experiment in paper order (Table 2 plus the tool

@@ -19,7 +19,7 @@ import (
 // self-triggered (ListView app 5.0) or via a scroll gesture every 2 minutes
 // (WebView app 1.8.3). Returns the update measurements and the cross-layer
 // analysis.
-func feedRun(seed int64, variant string, prof *radio.Profile, horizon time.Duration, opts ...analyzer.Option) (*analyzer.CrossLayer, []qoe.BehaviorEntry) {
+func feedRun(seed int64, variant string, prof *radio.Profile, horizon time.Duration) (*analyzer.CrossLayer, []qoe.BehaviorEntry) {
 	webView := variant == serversim.VariantWebView
 	cfg := facebook.Config{
 		Variant:            variant,
@@ -60,7 +60,7 @@ func feedRun(seed int64, variant string, prof *radio.Profile, horizon time.Durat
 		loop()
 	}
 	b.K.RunUntil(horizon)
-	cl := analyzer.NewCrossLayer(b.Session(log), opts...)
+	cl := analyzer.NewCrossLayer(b.Session(log))
 	return cl, log.ByAction("pull_to_update")
 }
 
@@ -81,7 +81,7 @@ var feedConds = []struct {
 }
 
 // RunFeedDesignCDF regenerates Fig. 14: the updating-time distribution.
-func RunFeedDesignCDF(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunFeedDesignCDF(seed int64, p Params) *Result {
 	r := &Result{ID: "fig14", Title: "News feed updating time, WebView vs ListView (Fig. 14)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 14: pull-to-update latency distribution (seconds)",
@@ -89,7 +89,7 @@ func RunFeedDesignCDF(seed int64, p Params, opts ...analyzer.Option) *Result {
 	}
 	series := map[string][]float64{}
 	for i, c := range feedConds {
-		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon, opts...)
+		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon)
 		_ = cl
 		var xs []float64
 		for _, e := range entries {
@@ -118,14 +118,14 @@ func RunFeedDesignCDF(seed int64, p Params, opts ...analyzer.Option) *Result {
 
 // RunFeedDesignBreakdown regenerates Fig. 15: device vs network share of
 // the update time for both designs.
-func RunFeedDesignBreakdown(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunFeedDesignBreakdown(seed int64, p Params) *Result {
 	r := &Result{ID: "fig15", Title: "Feed update breakdown, WebView vs ListView (Fig. 15)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 15: update latency breakdown (mean seconds)",
 		Headers: []string{"Condition", "Total", "Device", "Network"},
 	}
 	for i, c := range feedConds {
-		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon, opts...)
+		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon)
 		st := splitOver(cl, entries)
 		tbl.AddRow(c.label, fmtS(st.total.Mean), fmtS(st.device.Mean), fmtS(st.network.Mean))
 		r.Set(c.key+"_device_s", st.device.Mean)
@@ -143,14 +143,14 @@ func RunFeedDesignBreakdown(seed int64, p Params, opts ...analyzer.Option) *Resu
 }
 
 // RunFeedDesignData regenerates Fig. 16: network data per feed update.
-func RunFeedDesignData(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunFeedDesignData(seed int64, p Params) *Result {
 	r := &Result{ID: "fig16", Title: "Feed update data consumption, WebView vs ListView (Fig. 16)"}
 	tbl := &metrics.Table{
 		Title:   "Fig. 16: per-update Facebook data (KB)",
 		Headers: []string{"Condition", "Updates", "Uplink/update", "Downlink/update"},
 	}
 	for i, c := range feedConds {
-		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon, opts...)
+		cl, entries := feedRun(seed+int64(i), c.variant, c.prof(), feedHorizon)
 		ul, dl := cl.DataConsumption(serversim.FacebookHost)
 		n := 0
 		for _, e := range entries {

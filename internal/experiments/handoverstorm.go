@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/analyzer"
-
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
@@ -18,7 +16,7 @@ import (
 // compares pageload percentiles and handover counts; the sharded multi-cell
 // fleet (one kernel per cell, lockstep-synchronized) makes the storm run
 // deterministic at any worker count.
-func RunHandoverStorm(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunHandoverStorm(seed int64, p Params) *Result {
 	res := &Result{ID: "handover", Title: "QoE under a handover storm (multi-cell mobility)"}
 	tbl := &metrics.Table{Headers: []string{
 		"Mobility", "Pageload p50", "Pageload p95", "Latency p95", "HO+resel (mean)",
@@ -39,7 +37,7 @@ func RunHandoverStorm(seed int64, p Params, opts ...analyzer.Option) *Result {
 		if mode.speed > 0 {
 			scen.Mobility = &fleet.MobilitySpec{SpeedMps: mode.speed, TTT: 240 * time.Millisecond}
 		}
-		rep, err := fleet.Run(scen, fleet.WithHorizon(p.horizon(3*time.Minute)), fleet.WithAnalyzer(opts...))
+		rep, err := fleet.Run(scen, fleet.WithHorizon(p.horizon(3*time.Minute)))
 		if err != nil {
 			res.Set(fmt.Sprintf("error/%s", mode.name), 1)
 			continue

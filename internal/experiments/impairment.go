@@ -46,7 +46,7 @@ type impairOutcome struct {
 // asynchronously and the returned function waits for it. Callers start the
 // next cell's simulation before collecting, pipelining sim N+1 over
 // analysis N.
-func impairStart(seed int64, plan *faults.Plan, throttleBps float64, opts ...analyzer.Option) func() impairOutcome {
+func impairStart(seed int64, plan *faults.Plan, throttleBps float64) func() impairOutcome {
 	b := testbed.MustNew(testbed.Options{
 		Seed:    seed,
 		Faults:  plan,
@@ -77,7 +77,7 @@ func impairStart(seed int64, plan *faults.Plan, throttleBps float64, opts ...ana
 	b.K.RunUntil(b.K.Now() + 20*time.Minute)
 
 	sess := b.Session(log)
-	pending := analyzer.Analyze(sess, opts...)
+	pending := analyzer.Analyze(sess)
 	if b.FaultUL != nil {
 		o.drops = b.FaultUL.Dropped() + b.FaultDL.Dropped()
 	}
@@ -101,7 +101,7 @@ func impairStart(seed int64, plan *faults.Plan, throttleBps float64, opts ...ana
 // layers. This is not a paper figure: it is the robustness scenario the
 // fault-injection subsystem exists for, demonstrating that every layer of
 // the pipeline degrades gracefully instead of hanging or crashing.
-func RunImpairmentSweep(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunImpairmentSweep(seed int64, p Params) *Result {
 	r := &Result{ID: "faults", Title: "QoE vs injected network impairment (loss and outage sweep)"}
 
 	lossTbl := &metrics.Table{
@@ -121,7 +121,7 @@ func RunImpairmentSweep(seed int64, p Params, opts ...analyzer.Option) *Result {
 			ge := faults.GEForMeanLoss(p, impairAvgBurst)
 			plan.GE = &ge
 		}
-		lossFinish[i] = impairStart(seed+int64(i), plan, 0, opts...)
+		lossFinish[i] = impairStart(seed+int64(i), plan, 0)
 	}
 	for i, p := range losses {
 		o := lossFinish[i]()
@@ -148,7 +148,7 @@ func RunImpairmentSweep(seed int64, p Params, opts ...analyzer.Option) *Result {
 		if dur > 0 {
 			plan.Outages = []faults.Outage{{Start: impairOutageStart, Duration: dur}}
 		}
-		outageFinish[i] = impairStart(seed+100+int64(i), plan, p.throttle(450e3), opts...)
+		outageFinish[i] = impairStart(seed+100+int64(i), plan, p.throttle(450e3))
 	}
 	for i, dur := range durations {
 		o := outageFinish[i]()

@@ -104,7 +104,7 @@ func collect(outs []watchOutcome) (init, rebuf []float64) {
 
 // RunThrottleCDF regenerates Fig. 17: initial-loading-time and
 // rebuffering-ratio distributions, throttled vs unthrottled, 3G vs LTE.
-func RunThrottleCDF(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunThrottleCDF(seed int64, p Params) *Result {
 	r := &Result{ID: "fig17", Title: "Throttling impact on video QoE (Fig. 17)"}
 	const nVideos = 30 // scaled from the paper's 100 (see EXPERIMENTS.md)
 	ids := videoSample(seed, nVideos)
@@ -195,7 +195,7 @@ func analyzerFlows(sess *qoe.Session) []*flowView {
 // RunShapeVsPolice regenerates Fig. 18: downlink throughput over time under
 // 3G traffic shaping vs LTE traffic policing, plus the TCP retransmission
 // counts that explain the difference (Finding 7).
-func RunShapeVsPolice(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunShapeVsPolice(seed int64, p Params) *Result {
 	r := &Result{ID: "fig18", Title: "3G traffic shaping vs LTE traffic policing (Fig. 18)"}
 	const horizon = 300 * time.Second
 
@@ -256,13 +256,13 @@ func RunShapeVsPolice(seed int64, p Params, opts ...analyzer.Option) *Result {
 
 // RunRebufferVsRate regenerates Fig. 19: rebuffering ratio vs throttled
 // bandwidth (100-500 kbps), 3G shaping vs LTE policing.
-func RunRebufferVsRate(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunRebufferVsRate(seed int64, p Params) *Result {
 	return rateSweep(seed, p, "fig19", "Rebuffering ratio vs throttled bandwidth (Fig. 19)", true)
 }
 
 // RunInitLoadVsRate regenerates Fig. 20: initial loading time vs throttled
 // bandwidth.
-func RunInitLoadVsRate(seed int64, p Params, opts ...analyzer.Option) *Result {
+func RunInitLoadVsRate(seed int64, p Params) *Result {
 	return rateSweep(seed, p, "fig20", "Initial loading time vs throttled bandwidth (Fig. 20)", false)
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/apps/browser"
 	"repro/internal/apps/facebook"
 	"repro/internal/apps/youtube"
-	"repro/internal/core/analyzer"
 	"repro/internal/faults"
 	"repro/internal/radio"
 )
@@ -240,11 +239,10 @@ type options struct {
 	profiler bool
 	horizon  time.Duration
 	workers  int
-	analyzer []analyzer.Option
 }
 
 // Option is a run-level knob, orthogonal to the Scenario description:
-// observability sinks, the analyzer engine, the time horizon.
+// observability sinks, shard workers, the time horizon.
 type Option func(*options)
 
 // DefaultHorizon bounds a fleet run when WithHorizon is not given.
@@ -279,18 +277,4 @@ func WithHorizon(d time.Duration) Option {
 // fleet, whose single shard runs on the calling goroutine.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithEngine selects the cross-layer analyzer engine for every per-UE
-// analysis in this run.
-func WithEngine(e analyzer.Engine) Option {
-	return func(o *options) { o.analyzer = append(o.analyzer, analyzer.WithEngine(e)) }
-}
-
-// WithAnalyzer appends raw analyzer options applied to every per-UE
-// analysis in this run — the pass-through form of WithEngine for callers
-// already holding []analyzer.Option (the experiment registry's engine
-// golden test threads its per-call engine selection here).
-func WithAnalyzer(opts ...analyzer.Option) Option {
-	return func(o *options) { o.analyzer = append(o.analyzer, opts...) }
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core/analyzer"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -52,7 +51,7 @@ func TestParseSeeds(t *testing.T) {
 func fakeExp(id string) experiments.Experiment {
 	return experiments.Experiment{
 		ID: id,
-		Run: func(seed int64, _ experiments.Params, _ ...analyzer.Option) *experiments.Result {
+		Run: func(seed int64, _ experiments.Params) *experiments.Result {
 			r := &experiments.Result{ID: id, Title: id}
 			r.Set("seed", float64(seed))
 			return r
@@ -77,7 +76,7 @@ func TestRunOrderingUnderParallelism(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("exp%d", i)
 		delay := time.Duration(5-i) * time.Millisecond // later cells finish first
-		e := experiments.Experiment{ID: id, Run: func(seed int64, _ experiments.Params, _ ...analyzer.Option) *experiments.Result {
+		e := experiments.Experiment{ID: id, Run: func(seed int64, _ experiments.Params) *experiments.Result {
 			time.Sleep(delay)
 			r := &experiments.Result{ID: id, Title: id}
 			r.Set("seed", float64(seed))
@@ -105,7 +104,7 @@ func TestRunOrderingUnderParallelism(t *testing.T) {
 }
 
 func TestPanicCapture(t *testing.T) {
-	boom := experiments.Experiment{ID: "boom", Run: func(seed int64, _ experiments.Params, _ ...analyzer.Option) *experiments.Result {
+	boom := experiments.Experiment{ID: "boom", Run: func(seed int64, _ experiments.Params) *experiments.Result {
 		panic("kaboom")
 	}}
 	cells := Grid([]experiments.Experiment{fakeExp("ok"), boom, fakeExp("ok2")}, []int64{1})
