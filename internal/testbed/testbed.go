@@ -4,10 +4,10 @@
 // layer, QxDM on the radio). Experiments and examples construct a Bed,
 // connect the app under test, and hand the collected logs to the analyzer.
 //
-// Since the fleet redesign a Bed is a thin N=1 wrapper over internal/fleet:
-// Options translates to a one-UE fleet.Scenario, and the Bed embeds the
-// resulting fleet.UE, so the two construction paths share one assembly and
-// a 1-UE fleet run is byte-identical to the legacy Bed path.
+// A Bed is a thin wrapper over a one-UE fleet: Options translates to a
+// one-UE fleet.Scenario, which builds as a single shard on one kernel, and
+// the Bed embeds the resulting fleet.UE. A Bed and a 1-UE fleet therefore
+// share one assembly and produce the same bytes.
 package testbed
 
 import (
@@ -164,8 +164,8 @@ func fleetOptions(opts Options) []fleet.Option {
 	return fo
 }
 
-// compile-time guarantee that the embedded UE keeps satisfying the legacy
-// Bed surface: CloseObs and mid-run Throttle promote from fleet.UE
+// compile-time guarantee that the embedded UE keeps satisfying the Bed
+// surface: CloseObs and mid-run Throttle promote from fleet.UE
 // (build-time throttling is declarative via Options.ThrottleBps).
 var _ interface {
 	CloseObs()
