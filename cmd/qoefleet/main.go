@@ -194,8 +194,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *x2 < 0 {
 		return fmt.Errorf("-x2 must not be negative, got %v", *x2)
 	}
-	// Options that only mean something on a sharded multi-cell run are
-	// rejected, not silently ignored, in single-cell mode.
+	// Options that only mean something on a multi-cell run are rejected,
+	// not silently ignored, on one cell (one shard, one kernel).
 	if *cells < 2 && *x2 != 0 {
 		return fmt.Errorf("-x2 needs a multi-cell topology (-cells > 1)")
 	}

@@ -241,7 +241,7 @@ func (r *Report) Render() string {
 	b.WriteString(atbl.String())
 
 	// The remediation section appears only when the control plane acted, so
-	// controller-free reports keep the layout they had before remediation.
+	// a controller-free report (pinned by golden digests) has none.
 	if n := r.totalInterventions(); n > 0 {
 		fmt.Fprintf(&b, "\n== Remediation: %d intervention(s) ==\n", n)
 		itbl := &metrics.Table{Headers: []string{"UE", "At", "Action", "Diagnosis", "Applied", "Energy", "Evidence"}}
