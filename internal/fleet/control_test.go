@@ -249,7 +249,7 @@ func TestShardedFleetGoldenRemedy(t *testing.T) {
 	if _, again := run(1); again != golden {
 		t.Fatal("serial remediated rerun diverged from itself")
 	}
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		if _, got := run(workers); got != golden {
 			t.Fatalf("workers=%d remediated render diverged from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				workers, golden, workers, got)

@@ -271,8 +271,9 @@ func WithHorizon(d time.Duration) Option {
 	return func(o *options) { o.horizon = d }
 }
 
-// WithWorkers caps the goroutines advancing shards in a multi-cell run
-// (<= 0 = GOMAXPROCS, 1 = fully serial). Worker count affects wall clock
+// WithWorkers caps the goroutines advancing shards in a multi-cell run,
+// counting the goroutine that calls RunTo (<= 0 = GOMAXPROCS, 1 = fully
+// serial; capped at the shard count). Worker count affects wall clock
 // only — results are byte-identical at any setting. No-op for a one-cell
 // fleet, whose single shard runs on the calling goroutine.
 func WithWorkers(n int) Option {

@@ -73,7 +73,7 @@ func TestShardedFleetGolden(t *testing.T) {
 		t.Fatalf("handovers aggregate missing:\n%s", golden)
 	}
 
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		if _, got := run(workers); got != golden {
 			t.Fatalf("workers=%d render diverged from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				workers, golden, workers, got)
