@@ -60,20 +60,6 @@ func newLogger(w io.Writer, level string) (*slog.Logger, error) {
 	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: lvl})), nil
 }
 
-func profileByName(name string) (*radio.Profile, error) {
-	switch name {
-	case "3g":
-		return radio.Profile3G(), nil
-	case "3g-simple":
-		return radio.ProfileSimplified3G(), nil
-	case "wifi":
-		return radio.ProfileWiFi(), nil
-	case "lte", "":
-		return radio.ProfileLTE(), nil
-	}
-	return nil, fmt.Errorf("unknown network %q (lte | 3g | 3g-simple | wifi)", name)
-}
-
 // run is the testable entry point: flags from args, output on the given
 // writers, errors returned instead of os.Exit, panics converted to errors.
 func run(args []string, stdout, stderr io.Writer) (err error) {
@@ -163,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	prof, err := profileByName(*network)
+	prof, err := radio.ParseProfile(*network)
 	if err != nil {
 		return err
 	}

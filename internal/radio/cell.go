@@ -43,6 +43,22 @@ func ParsePolicy(s string) (SchedPolicy, error) {
 	return 0, fmt.Errorf("radio: unknown scheduler policy %q (rr | pf)", s)
 }
 
+// ParseProfile returns a fresh radio profile for a network name
+// ("lte" | "3g" | "3g-simple" | "wifi"; empty means LTE).
+func ParseProfile(s string) (*Profile, error) {
+	switch s {
+	case "lte", "":
+		return ProfileLTE(), nil
+	case "3g":
+		return Profile3G(), nil
+	case "3g-simple":
+		return ProfileSimplified3G(), nil
+	case "wifi":
+		return ProfileWiFi(), nil
+	}
+	return nil, fmt.Errorf("radio: unknown network %q (lte | 3g | 3g-simple | wifi)", s)
+}
+
 // pfTau is the proportional-fair averaging window: served-rate EWMAs decay
 // with this time constant, so a bearer that has been starved for a few
 // hundred milliseconds quickly regains priority.
