@@ -20,10 +20,10 @@ import (
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/qxdm"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
@@ -145,7 +145,7 @@ func BenchmarkSec77RRCSimplify(b *testing.B) {
 // blows through the paper's 40 ms error bound, the calibrated one does not.
 func BenchmarkAblationCalibration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bed := testbed.MustNew(testbed.Options{Seed: benchSeed, Profile: radio.ProfileLTE(), DisableQxDM: true})
+		bed := fleet.MustOneUE(benchSeed, radio.ProfileLTE(), fleet.UESpec{DisableQxDM: true})
 		bed.Facebook.Connect()
 		bed.K.RunUntil(2 * time.Second)
 		// Inflate the tree so one parse pass costs ~60 ms.
@@ -213,7 +213,7 @@ func BenchmarkAblationCalibration(b *testing.B) {
 func BenchmarkAblationMappingAnchor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Build one 3G photo-upload session.
-		bed := testbed.MustNew(testbed.Options{Seed: benchSeed, Profile: radio.Profile3G()})
+		bed := fleet.MustOneUE(benchSeed, radio.Profile3G(), fleet.UESpec{})
 		bed.Facebook.Connect()
 		bed.K.RunUntil(3 * time.Second)
 		log := &qoe.BehaviorLog{}
@@ -229,7 +229,7 @@ func BenchmarkAblationMappingAnchor(b *testing.B) {
 		var ul []analyzer.MappedPacket
 		for _, rec := range bed.Capture.Records() {
 			p, err := rec.Packet()
-			if err == nil && p.Src.Addr == testbed.DeviceAddr {
+			if err == nil && p.Src.Addr == fleet.BaseAddr {
 				ul = append(ul, analyzer.MappedPacket{At: rec.At, Data: rec.Data})
 			}
 		}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 }
 
 func run(prof *radio.Profile) (meanLoad float64, promotions int) {
-	bed := testbed.MustNew(testbed.Options{Seed: 5, Profile: prof})
+	bed := fleet.MustOneUE(5, prof, fleet.UESpec{})
 	log := &qoe.BehaviorLog{}
 	ctl := controller.New(bed.K, bed.Browser.Screen, log)
 	driver := &controller.BrowserDriver{C: ctl}

@@ -14,9 +14,9 @@ import (
 	"repro/internal/apps/facebook"
 	"repro/internal/apps/serversim"
 	"repro/internal/core/analyzer"
+	"repro/internal/fleet"
 	"repro/internal/power"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 func main() {
@@ -31,7 +31,7 @@ func main() {
 			RefreshInterval: interval,
 			Subscribe:       true,
 		}
-		bed := testbed.MustNew(testbed.Options{Seed: 99, Profile: radio.ProfileLTE(), Facebook: cfg})
+		bed := fleet.MustOneUE(99, radio.ProfileLTE(), fleet.UESpec{Facebook: cfg})
 		bed.Facebook.Connect()
 		bed.K.RunUntil(7 * time.Minute) // de-phase friend posts from refreshes
 		n := 0

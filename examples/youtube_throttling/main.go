@@ -15,8 +15,8 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 const throttleBps = 128e3
@@ -35,7 +35,7 @@ func main() {
 }
 
 func run(prof *radio.Profile, throttled bool) {
-	bed := testbed.MustNew(testbed.Options{Seed: 21, Profile: prof, DisableQxDM: true})
+	bed := fleet.MustOneUE(21, prof, fleet.UESpec{DisableQxDM: true})
 	bed.YouTube.Connect()
 	bed.K.RunUntil(2 * time.Second)
 	if throttled {
@@ -56,7 +56,7 @@ func run(prof *radio.Profile, throttled bool) {
 		return
 	}
 	retx := 0
-	for _, f := range analyzer.ExtractFlows(bed.Session(log).Packets, testbed.DeviceAddr).Flows {
+	for _, f := range analyzer.ExtractFlows(bed.Session(log).Packets, fleet.BaseAddr).Flows {
 		retx += f.Retransmissions
 	}
 	fmt.Printf("%-7s  %-9v  m2     %8.1f s    %10.1f %%    %6d\n",

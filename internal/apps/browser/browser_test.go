@@ -6,19 +6,19 @@ import (
 
 	"repro/internal/apps/browser"
 	"repro/internal/apps/serversim"
+	"repro/internal/fleet"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
-func newBed(t *testing.T, seed int64, prof *radio.Profile, bp browser.Profile) *testbed.Bed {
+func newBed(t *testing.T, seed int64, prof *radio.Profile, bp browser.Profile) *fleet.UE {
 	t.Helper()
-	return testbed.MustNew(testbed.Options{Seed: seed, Profile: prof, Browser: bp, DisableQxDM: true})
+	return fleet.MustOneUE(seed, prof, fleet.UESpec{Browser: bp, DisableQxDM: true})
 }
 
 // loadPage drives a page load via the URL bar and returns the load time.
-func loadPage(t *testing.T, b *testbed.Bed, url string, budget time.Duration) time.Duration {
+func loadPage(t *testing.T, b *fleet.UE, url string, budget time.Duration) time.Duration {
 	t.Helper()
 	in := uisim.NewInstrumentation(b.K, b.Browser.Screen)
 	if _, err := in.EnterText(uisim.Signature{ID: browser.IDURLBar}, url); err != nil {

@@ -6,16 +6,16 @@ import (
 
 	"repro/internal/apps/facebook"
 	"repro/internal/apps/serversim"
+	"repro/internal/fleet"
 	"repro/internal/netsim"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
-func newBed(t *testing.T, cfg facebook.Config) *testbed.Bed {
+func newBed(t *testing.T, cfg facebook.Config) *fleet.UE {
 	t.Helper()
-	b := testbed.MustNew(testbed.Options{Seed: 11, Profile: radio.ProfileLTE(), Facebook: cfg})
+	b := fleet.MustOneUE(11, radio.ProfileLTE(), fleet.UESpec{Facebook: cfg})
 	b.Facebook.Connect()
 	b.K.RunUntil(2 * time.Second) // connect + subscribe
 	return b
@@ -23,7 +23,7 @@ func newBed(t *testing.T, cfg facebook.Config) *testbed.Bed {
 
 // feedShows reports whether the feed contains text (works for both
 // variants by scanning the app's screen tree).
-func feedShows(b *testbed.Bed, substr string) bool {
+func feedShows(b *fleet.UE, substr string) bool {
 	found := false
 	var walk func(v *uisim.View)
 	walk = func(v *uisim.View) {
@@ -174,7 +174,7 @@ func TestWebViewUpdateSlowerAndHeavier(t *testing.T) {
 	}
 }
 
-func devBytesIn(b *testbed.Bed) int {
+func devBytesIn(b *fleet.UE) int {
 	n := 0
 	for _, r := range b.Capture.Records() {
 		if r.Inbound {
@@ -200,7 +200,7 @@ func TestBackgroundRefreshScalesWithInterval(t *testing.T) {
 	traffic := func(interval time.Duration) int {
 		cfg := facebook.DefaultConfig()
 		cfg.RefreshInterval = interval
-		b := testbed.MustNew(testbed.Options{Seed: 3, Profile: radio.ProfileLTE(), Facebook: cfg, DisableQxDM: true})
+		b := fleet.MustOneUE(3, radio.ProfileLTE(), fleet.UESpec{Facebook: cfg, DisableQxDM: true})
 		b.Facebook.Connect()
 		b.K.RunUntil(4 * time.Hour)
 		total := 0
@@ -220,7 +220,7 @@ func TestBackgroundRefreshScalesWithInterval(t *testing.T) {
 func TestNoRefreshNoTimerTraffic(t *testing.T) {
 	cfg := facebook.DefaultConfig()
 	cfg.RefreshInterval = 0
-	b := testbed.MustNew(testbed.Options{Seed: 4, Facebook: cfg, DisableQxDM: true})
+	b := fleet.MustOneUE(4, nil, fleet.UESpec{Facebook: cfg, DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(30 * time.Second)
 	base := len(b.Capture.Records())
@@ -233,7 +233,7 @@ func TestNoRefreshNoTimerTraffic(t *testing.T) {
 func TestCloseStopsBackgroundRefresh(t *testing.T) {
 	cfg := facebook.DefaultConfig()
 	cfg.RefreshInterval = 10 * time.Minute
-	b := testbed.MustNew(testbed.Options{Seed: 5, Facebook: cfg, DisableQxDM: true})
+	b := fleet.MustOneUE(5, nil, fleet.UESpec{Facebook: cfg, DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(30 * time.Minute)
 	b.Facebook.Close()

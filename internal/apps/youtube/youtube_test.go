@@ -5,22 +5,22 @@ import (
 	"time"
 
 	"repro/internal/apps/youtube"
+	"repro/internal/fleet"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
-func newBed(t *testing.T, seed int64, cfg youtube.Config, prof *radio.Profile) *testbed.Bed {
+func newBed(t *testing.T, seed int64, cfg youtube.Config, prof *radio.Profile) *fleet.UE {
 	t.Helper()
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof, YouTube: cfg, DisableQxDM: true})
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{YouTube: cfg, DisableQxDM: true})
 	b.YouTube.Connect()
 	b.K.RunUntil(2 * time.Second)
 	return b
 }
 
 // watch plays a video to completion and returns its stats.
-func watch(t *testing.T, b *testbed.Bed, id string, maxSim time.Duration) youtube.PlaybackStats {
+func watch(t *testing.T, b *fleet.UE, id string, maxSim time.Duration) youtube.PlaybackStats {
 	t.Helper()
 	v, err := b.Servers.YouTube.Video(id)
 	if err != nil {

@@ -11,14 +11,22 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
+
+// traceOpt attaches the trace bus when trace is set.
+func traceOpt(trace bool) []fleet.Option {
+	if trace {
+		return []fleet.Option{fleet.WithTrace()}
+	}
+	return nil
+}
 
 // uploadSession simulates photo uploads on the given bearer and returns the
 // collected session — a QxDM-heavy, uplink-dominated analyzer input.
 func uploadSession(seed int64, profile *radio.Profile, posts int, trace bool) *qoe.Session {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: profile, Trace: trace})
+	b := fleet.MustOneUE(seed, profile, fleet.UESpec{}, traceOpt(trace)...)
 	b.Facebook.Connect()
 	b.K.RunUntil(3 * time.Second)
 	log := &qoe.BehaviorLog{}
@@ -42,7 +50,7 @@ func uploadSession(seed int64, profile *radio.Profile, posts int, trace bool) *q
 // browseSession simulates page loads — downlink-dominated, with DNS and
 // multiple flows.
 func browseSession(seed int64, profile *radio.Profile, pages int, trace bool) *qoe.Session {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: profile, Trace: trace})
+	b := fleet.MustOneUE(seed, profile, fleet.UESpec{}, traceOpt(trace)...)
 	log := &qoe.BehaviorLog{}
 	c := controller.New(b.K, b.Browser.Screen, log)
 	d := &controller.BrowserDriver{C: c}
@@ -94,7 +102,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 
 // Degenerate inputs must warn exactly as the serial seed oracle does.
 func TestEngineDegenerateSessions(t *testing.T) {
-	empty := &qoe.Session{Profile: radio.ProfileLTE(), DeviceAddr: testbed.DeviceAddr}
+	empty := &qoe.Session{Profile: radio.ProfileLTE(), DeviceAddr: fleet.BaseAddr}
 	noRadio := browseSession(15, radio.ProfileLTE(), 1, false)
 	noRadio.Radio = nil
 	for name, sess := range map[string]*qoe.Session{"empty": empty, "no-radio": noRadio} {

@@ -9,15 +9,15 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
-func fbBed(t *testing.T, seed int64, cfg facebook.Config) (*testbed.Bed, *controller.Controller, *qoe.BehaviorLog) {
+func fbBed(t *testing.T, seed int64, cfg facebook.Config) (*fleet.UE, *controller.Controller, *qoe.BehaviorLog) {
 	t.Helper()
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), Facebook: cfg})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{Facebook: cfg})
 	b.Facebook.Connect()
 	b.K.RunUntil(2 * time.Second)
 	log := &qoe.BehaviorLog{}
@@ -154,7 +154,7 @@ func TestSelfUpdateMeasurement(t *testing.T) {
 }
 
 func TestBrowserDriverMeasuresPageLoad(t *testing.T) {
-	b := testbed.MustNew(testbed.Options{Seed: 6})
+	b := fleet.MustOneUE(6, nil, fleet.UESpec{})
 	log := &qoe.BehaviorLog{}
 	c := controller.New(b.K, b.Browser.Screen, log)
 	d := &controller.BrowserDriver{C: c}
@@ -187,7 +187,7 @@ func TestBrowserDriverMeasuresPageLoad(t *testing.T) {
 }
 
 func TestYouTubeDriverThrottledRebuffering(t *testing.T) {
-	b := testbed.MustNew(testbed.Options{Seed: 7, DisableQxDM: true})
+	b := fleet.MustOneUE(7, nil, fleet.UESpec{DisableQxDM: true})
 	b.YouTube.Connect()
 	b.K.RunUntil(time.Second)
 	b.Throttle(200e3)
@@ -220,7 +220,7 @@ func TestYouTubeDriverThrottledRebuffering(t *testing.T) {
 }
 
 func TestYouTubeDriverUnthrottledCleanPlayback(t *testing.T) {
-	b := testbed.MustNew(testbed.Options{Seed: 8, DisableQxDM: true})
+	b := fleet.MustOneUE(8, nil, fleet.UESpec{DisableQxDM: true})
 	b.YouTube.Connect()
 	b.K.RunUntil(time.Second)
 	log := &qoe.BehaviorLog{}
@@ -278,7 +278,7 @@ func TestScriptTimingModes(t *testing.T) {
 }
 
 func TestControllerErrorOnMissingView(t *testing.T) {
-	b := testbed.MustNew(testbed.Options{Seed: 9, DisableQxDM: true})
+	b := fleet.MustOneUE(9, nil, fleet.UESpec{DisableQxDM: true})
 	log := &qoe.BehaviorLog{}
 	c := controller.New(b.K, b.Browser.Screen, log)
 	d := controller.NewFacebookDriver(c, false) // facebook views on a browser screen
@@ -292,7 +292,7 @@ func TestSpeedIndexRecordingOverNetworks(t *testing.T) {
 	// frames recorded at screen draws. A slower radio must yield a larger
 	// Speed Index for the same page.
 	run := func(prof *radio.Profile) (time.Duration, int) {
-		b := testbed.MustNew(testbed.Options{Seed: 30, Profile: prof, DisableQxDM: true})
+		b := fleet.MustOneUE(30, prof, fleet.UESpec{DisableQxDM: true})
 		log := &qoe.BehaviorLog{}
 		c := controller.New(b.K, b.Browser.Screen, log)
 		d := &controller.BrowserDriver{C: c}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/apps/serversim"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
-	"repro/internal/testbed"
+	"repro/internal/fleet"
 )
 
 func TestParseSpecValidAndInvalid(t *testing.T) {
@@ -64,7 +64,7 @@ func TestCompileValidation(t *testing.T) {
 }
 
 func TestSpecEndToEndReplay(t *testing.T) {
-	b := testbed.MustNew(testbed.Options{Seed: 44, DisableQxDM: true})
+	b := fleet.MustOneUE(44, nil, fleet.UESpec{DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(2 * time.Second)
 	log := &qoe.BehaviorLog{}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/uisim"
 )
 
@@ -77,7 +77,7 @@ func summarizeErr(samples []errSample) (avgErr time.Duration, maxRatio float64) 
 // accuracyPostUpdates measures Facebook post-update latency against screen
 // ground truth, and returns the CPU overhead observed during the run.
 func accuracyPostUpdates(seed int64, reps int) (samples []errSample, cpuOverhead float64) {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), DisableQxDM: true})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(2 * time.Second)
 	log := &qoe.BehaviorLog{}
@@ -147,7 +147,7 @@ func containsStr(s, sub string) bool {
 // accuracyPullToUpdate compares app-triggered bar-cycle measurements with
 // screen truth.
 func accuracyPullToUpdate(seed int64, reps int) []errSample {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), DisableQxDM: true})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(2 * time.Second)
 	log := &qoe.BehaviorLog{}
@@ -190,7 +190,7 @@ func pairCycles(entries []qoe.BehaviorEntry, bars *barCycles) []errSample {
 // accuracyYouTube measures initial loading (and rebuffers under throttle)
 // against screen truth.
 func accuracyYouTube(seed int64, videos []string, throttle bool) (initial, rebuffer []errSample) {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), DisableQxDM: true})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{DisableQxDM: true})
 	b.YouTube.Connect()
 	b.K.RunUntil(time.Second)
 	if throttle {
@@ -236,7 +236,7 @@ func accuracyYouTube(seed int64, videos []string, throttle bool) (initial, rebuf
 
 // accuracyWeb measures page-load latency against screen truth.
 func accuracyWeb(seed int64, pages int) []errSample {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), DisableQxDM: true})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{DisableQxDM: true})
 	log := &qoe.BehaviorLog{}
 	c := controller.New(b.K, b.Browser.Screen, log)
 	d := &controller.BrowserDriver{C: c}
@@ -269,7 +269,7 @@ func accuracyWeb(seed int64, pages int) []errSample {
 // capture-lost PDU and would dilute the ratio.
 func accuracyMapping(seed int64) (ul, dl float64) {
 	// Uplink: 3 photo posts (~380 KB each).
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.Profile3G()})
+	b := fleet.MustOneUE(seed, radio.Profile3G(), fleet.UESpec{})
 	b.Facebook.Connect()
 	b.K.RunUntil(3 * time.Second)
 	log := &qoe.BehaviorLog{}
@@ -291,7 +291,7 @@ func accuracyMapping(seed int64) (ul, dl float64) {
 	ulPending := b.AnalyzeAsync(log)
 
 	// Downlink: 8 page loads (~0.2 MB of download data each).
-	b2 := testbed.MustNew(testbed.Options{Seed: seed + 1, Profile: radio.Profile3G()})
+	b2 := fleet.MustOneUE(seed+1, radio.Profile3G(), fleet.UESpec{})
 	log2 := &qoe.BehaviorLog{}
 	c2 := controller.New(b2.K, b2.Browser.Screen, log2)
 	d2 := &controller.BrowserDriver{C: c2}

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/apps/youtube"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // adOutcome captures one playback's loading decomposition. The app-level
@@ -23,8 +23,7 @@ type adOutcome struct {
 // adsRun plays videos that carry a pre-roll ad, with ads enabled or not.
 // The app preloads the main video during the ad only on WiFi (unmetered).
 func adsRun(seed int64, prof *radio.Profile, adsEnabled bool, ids []string) []adOutcome {
-	b := testbed.MustNew(testbed.Options{
-		Seed: seed, Profile: prof,
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{
 		YouTube: youtube.Config{
 			AdsEnabled:      adsEnabled,
 			PreloadDuringAd: prof.Tech == radio.TechWiFi,

@@ -7,10 +7,10 @@ import (
 	"repro/internal/apps/facebook"
 	"repro/internal/apps/serversim"
 	"repro/internal/core/analyzer"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // FriendPostBytes is the content size of a simulated friend post (device A
@@ -35,7 +35,7 @@ func backgroundRun(seed int64, postEvery, refreshInterval time.Duration) bgOutco
 		SelfUpdateOnNotify: false, // backgrounded: no foreground feed refresh
 		Subscribe:          true,
 	}
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: radio.ProfileLTE(), Facebook: cfg})
+	b := fleet.MustOneUE(seed, radio.ProfileLTE(), fleet.UESpec{Facebook: cfg})
 	b.Facebook.Connect()
 	b.K.RunUntil(5 * time.Second)
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // feedRun reproduces the §7.4 testbed: a friend posts a status every 2
@@ -27,7 +27,7 @@ func feedRun(seed int64, variant string, prof *radio.Profile, horizon time.Durat
 		SelfUpdateOnNotify: !webView,
 		Subscribe:          true,
 	}
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof, Facebook: cfg, DisableQxDM: true})
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{Facebook: cfg, DisableQxDM: true})
 	b.Facebook.Connect()
 	b.K.RunUntil(5 * time.Second)
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/power"
-	"repro/internal/testbed"
 )
 
 // Impairment-sweep defaults: the bursty-loss shape and the mid-playback
@@ -47,8 +47,7 @@ type impairOutcome struct {
 // next cell's simulation before collecting, pipelining sim N+1 over
 // analysis N.
 func impairStart(seed int64, plan *faults.Plan, throttleBps float64) func() impairOutcome {
-	b := testbed.MustNew(testbed.Options{
-		Seed:    seed,
+	b := fleet.MustOneUE(seed, nil, fleet.UESpec{
 		Faults:  plan,
 		YouTube: youtube.Config{StallTimeout: impairStallGiveUp},
 	})

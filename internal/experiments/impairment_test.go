@@ -11,7 +11,7 @@ import (
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
 	"repro/internal/faults"
-	"repro/internal/testbed"
+	"repro/internal/fleet"
 )
 
 // acceptanceRun executes the robustness acceptance scenario — 2% GE burst
@@ -21,8 +21,7 @@ import (
 func acceptanceRun(t *testing.T, seed int64) string {
 	t.Helper()
 	ge := faults.GEForMeanLoss(0.02, 4)
-	b := testbed.MustNew(testbed.Options{
-		Seed: seed,
+	b := fleet.MustOneUE(seed, nil, fleet.UESpec{
 		Faults: &faults.Plan{
 			GE:      &ge,
 			Outages: []faults.Outage{{Start: 20 * time.Second, Duration: 3 * time.Second}},

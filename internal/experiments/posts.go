@@ -8,16 +8,16 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // postRun drives reps post uploads of one kind on one network, posting
 // every 2 seconds like the §7.2 setup, and returns the session plus the
 // logged entries.
 func postRun(seed int64, prof *radio.Profile, kind string, reps int) (*analyzer.CrossLayer, []qoe.BehaviorEntry) {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof})
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{})
 	b.Facebook.Connect()
 	b.K.RunUntil(3 * time.Second)
 	log := &qoe.BehaviorLog{}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // pageThinkTime separates page loads so the RRC machine demotes between
@@ -21,7 +21,7 @@ const pageThinkTime = 20 * time.Second
 // page-load times plus the count of RRC promotions that overlapped QoE
 // windows (the §5.4.2 cross-layer diagnosis).
 func pagesRun(seed int64, prof *radio.Profile, nPages int) (loads []float64, promotionsInWindows int) {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof})
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{})
 	log := &qoe.BehaviorLog{}
 	c := controller.New(b.K, b.Browser.Screen, log)
 	c.Timeout = 5 * time.Minute

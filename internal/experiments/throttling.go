@@ -7,9 +7,9 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/testbed"
 )
 
 // ThrottleRateBps is the §7.5 post-cap rate (the carrier throttles
@@ -53,7 +53,7 @@ type watchOutcome struct {
 // throttleRun plays the given videos sequentially on one bed configuration
 // and collects driver measurements.
 func throttleRun(seed int64, prof *radio.Profile, throttleBps float64, ids []string) []watchOutcome {
-	b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof, DisableQxDM: true, DisablePcap: true})
+	b := fleet.MustOneUE(seed, prof, fleet.UESpec{DisableQxDM: true, DisablePcap: true})
 	b.YouTube.Connect()
 	b.K.RunUntil(2 * time.Second)
 	if throttleBps > 0 {
@@ -200,7 +200,7 @@ func RunShapeVsPolice(seed int64, p Params) *Result {
 	const horizon = 300 * time.Second
 
 	run := func(prof *radio.Profile) ([]float64, int, float64) {
-		b := testbed.MustNew(testbed.Options{Seed: seed, Profile: prof, DisableQxDM: true})
+		b := fleet.MustOneUE(seed, prof, fleet.UESpec{DisableQxDM: true})
 		b.YouTube.Connect()
 		b.K.RunUntil(2 * time.Second)
 		b.Throttle(p.throttle(ThrottleRateBps))

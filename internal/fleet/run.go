@@ -219,6 +219,18 @@ func Run(scen Scenario, opts ...Option) (*Report, error) {
 	return f.Report(), nil
 }
 
+// MustOneUE builds the single-device lab the paper's tool measures: a
+// one-UE fleet on one cell of profile prof (nil = LTE), returned as its UE
+// for the caller to drive. It panics on an invalid spec, as tests and
+// examples want; Build reports the same errors instead.
+func MustOneUE(seed int64, prof *radio.Profile, spec UESpec, opts ...Option) *UE {
+	f, err := Build(Scenario{Seed: seed, Cell: CellSpec{Profile: prof}, UEs: []UESpec{spec}}, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return f.UEs[0]
+}
+
 // Report analyzes every UE's collected logs (cross-layer analyses fan out
 // across goroutines; each is a pure function of its UE's session, so the
 // fan-out cannot perturb results) and assembles the fleet report.

@@ -13,14 +13,21 @@ import (
 
 	"repro/internal/core/controller"
 	"repro/internal/core/qoe"
-	"repro/internal/testbed"
+	"repro/internal/fleet"
 )
 
 // obsBenchRun is the standard workload: a fixed-seed Facebook
 // pull-to-update session, exercising UI input, app logic, DNS, TCP, and the
 // radio bearer — every instrumented layer.
 func obsBenchRun(trace, metrics bool) {
-	b := testbed.MustNew(testbed.Options{Seed: benchSeed, Trace: trace, Metrics: metrics})
+	var opts []fleet.Option
+	if trace {
+		opts = append(opts, fleet.WithTrace())
+	}
+	if metrics {
+		opts = append(opts, fleet.WithMetrics())
+	}
+	b := fleet.MustOneUE(benchSeed, nil, fleet.UESpec{}, opts...)
 	b.Facebook.Connect()
 	b.K.RunUntil(3 * time.Second)
 	log := &qoe.BehaviorLog{}
