@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify sharded-golden cover chaos bench bench-analyzer bench-compare bench-fleet bench-fleet-compare bench-remedy bench-remedy-compare bench-qoestore bench-qoemon bench-all sweep sweep-golden
+.PHONY: build test test-short verify sharded-golden cover chaos bench bench-analyzer bench-fleet bench-remedy bench-qoestore bench-qoemon bench-all sweep sweep-golden
 
 build:
 	$(GO) build ./...
@@ -18,13 +18,13 @@ test-short: build
 
 # Full verification: static checks plus the race-enabled suite, then the
 # qoestore chaos drills. Each simulation kernel is single-goroutine by
-# design, but the sweep engine runs whole testbeds on concurrent goroutines,
+# design, but the sweep engine runs whole simulations on concurrent goroutines,
 # so -race exercises real concurrency (internal/sweep's parallel-vs-serial
 # golden runs under it). The suite also checks every pinned output digest:
 # the fleet goldens (internal/fleet/testdata) and the whole experiment
-# registry (internal/experiments/testdata). It ends with a 10 s fuzz of the
-# message framing and the benchmark's ~10 s smoke test;
-# `make bench-remedy-compare` (~20 min) stays available on its own.
+# registry (internal/experiments/testdata). It runs every example once
+# (about 2 s together with a warm build cache), then ends with a 10 s fuzz
+# of the message framing and the benchmark's ~10 s smoke test.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -33,6 +33,7 @@ verify: build
 	$(MAKE) cover
 	$(MAKE) chaos
 	$(MAKE) sharded-golden
+	@set -e; for ex in examples/*/; do echo "$(GO) run ./$$ex"; $(GO) run ./$$ex > /dev/null; done
 	$(GO) test -run '^$$' -fuzz FuzzMsgConnFeed -fuzztime 10s ./internal/netsim/
 	cd bench && $(GO) test .
 
@@ -86,12 +87,6 @@ bench:
 bench-analyzer:
 	BENCH_PR4_JSON=$(CURDIR)/BENCH_PR4.json $(GO) test -run TestWriteBenchPR4JSON -v ./internal/core/analyzer/
 
-# Compare a fresh measurement against the checked-in BENCH_PR4.json
-# baseline; fails on >20% ns/op regression in the indexed mapper or the
-# parallel engine.
-bench-compare:
-	BENCH_PR4_BASELINE=$(CURDIR)/BENCH_PR4.json $(GO) test -run TestBenchComparePR4 -v ./internal/core/analyzer/
-
 # PR 5 fleet scaling record: ns/op and allocs/op per simulated UE at
 # N=1/8/64 on a shared cell. Writes BENCH_PR5.json and fails if the per-UE
 # cost at N=64 exceeds 2x the N=1 per-UE cost.
@@ -103,23 +98,12 @@ bench-fleet:
 	BENCH_PR5_JSON=$(CURDIR)/BENCH_PR5.json $(GO) test -run TestWriteBenchPR5JSON -v ./internal/fleet/
 	BENCH_PR8_JSON=$(CURDIR)/BENCH_PR8.json $(GO) test -run TestWriteBenchPR8JSON -v -timeout 40m ./internal/fleet/
 
-# Compare a fresh sharded measurement against the checked-in BENCH_PR8.json
-# baseline; fails on >20% per-UE-virtual-second regression.
-bench-fleet-compare:
-	BENCH_PR8_BASELINE=$(CURDIR)/BENCH_PR8.json $(GO) test -run TestBenchComparePR8 -v -timeout 20m ./internal/fleet/
-
 # PR 10 remediation control-plane record: observe-mode controller overhead
 # on a 16-UE fleet (the full fold + diagnosis pipeline with actuation off;
 # budget 5%) and the remediated 40kbps-throttled storm at N=256 and N=1024
 # with interventions per wall second. Writes BENCH_PR10.json.
 bench-remedy:
 	BENCH_PR10_JSON=$(CURDIR)/BENCH_PR10.json $(GO) test -run TestWriteBenchPR10JSON -v -timeout 40m ./internal/fleet/
-
-# Compare a fresh N=256 remediated storm against the checked-in
-# BENCH_PR10.json baseline; fails on >20% per-UE-virtual-second regression
-# or any drift in the deterministic intervention count.
-bench-remedy-compare:
-	BENCH_PR10_BASELINE=$(CURDIR)/BENCH_PR10.json $(GO) test -run TestBenchComparePR10 -v -timeout 20m ./internal/fleet/
 
 # PR 6 resilience record for the durable QoE store: sustained ingest
 # throughput with and without fsync, and query latency under hot concurrent

@@ -5,9 +5,7 @@
 //
 // TestWriteBenchPR4JSON (gated on BENCH_PR4_JSON, wired to
 // `make bench-analyzer`) records the numbers and asserts the >=3x mapping
-// speedup target; TestBenchComparePR4 (gated on BENCH_PR4_BASELINE, wired
-// to `make bench-compare`) fails when a tracked benchmark regresses >20%
-// against the checked-in BENCH_PR4.json.
+// speedup target.
 package analyzer_test
 
 import (
@@ -191,46 +189,4 @@ func TestWriteBenchPR4JSON(t *testing.T) {
 	if rec.Mapping.Speedup < 3 {
 		t.Errorf("indexed mapping speedup %.2fx, want >= 3x", rec.Mapping.Speedup)
 	}
-}
-
-// TestBenchComparePR4 guards against performance regressions: it re-measures
-// the tracked benchmarks and fails when ns/op exceeds the checked-in
-// baseline by more than 20%.
-func TestBenchComparePR4(t *testing.T) {
-	base := os.Getenv("BENCH_PR4_BASELINE")
-	if base == "" {
-		t.Skip("BENCH_PR4_BASELINE not set")
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var want benchPR4
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	w := benchWorkload()
-
-	check := func(name string, baseline benchRecord, f func(b *testing.B)) {
-		if baseline.NsOp == 0 {
-			t.Errorf("%s: baseline has no ns/op; regenerate with make bench-analyzer", name)
-			return
-		}
-		got := bestOf(3, f)
-		over := 100 * (float64(got.NsPerOp()) - float64(baseline.NsOp)) / float64(baseline.NsOp)
-		t.Logf("%s: %d ns/op vs baseline %d (%+.1f%%)", name, got.NsPerOp(), baseline.NsOp, over)
-		if over > 20 {
-			t.Errorf("%s regressed %.1f%% over baseline (limit 20%%)", name, over)
-		}
-	}
-	check("mapping/indexed", want.Mapping.Indexed, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			analyzer.LongJumpMap(w.dl, w.dlPDUs)
-		}
-	})
-	check("cross_layer/parallel", want.CrossLayer.Parallel, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			analyzer.NewCrossLayer(w.sess)
-		}
-	})
 }

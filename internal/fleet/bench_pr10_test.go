@@ -96,8 +96,7 @@ type pr10Doc struct {
 	FleetNsPerOp        int64   `json:"fleet_ns_per_op"`
 	FleetObserveNsPerOp int64   `json:"fleet_observe_ns_per_op"`
 	ObserveOverhead     float64 `json:"observe_overhead_ratio"`
-	// Remediated throttled storms; index 0 (N=256) is the figure tracked by
-	// the bench-remedy-compare regression gate.
+	// Remediated throttled storms at N=256 and N=1024.
 	Storms []pr10Storm `json:"storms"`
 }
 
@@ -163,42 +162,4 @@ func TestWriteBenchPR10JSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: observe overhead %.3fx, %d interventions at N=1024 (%.0f/s)",
 		out, doc.ObserveOverhead, doc.Storms[1].Interventions, doc.Storms[1].InterventionsPerSec)
-}
-
-// TestBenchComparePR10 guards the control plane against regressions:
-// re-measure the N=256 remediated storm and fail if its per-UE-virtual-
-// second cost exceeds the checked-in BENCH_PR10.json figure by more than
-// 20%, or if the deterministic intervention count drifted at all.
-func TestBenchComparePR10(t *testing.T) {
-	base := os.Getenv("BENCH_PR10_BASELINE")
-	if base == "" {
-		t.Skip("BENCH_PR10_BASELINE not set")
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var want pr10Doc
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	if len(want.Storms) == 0 || want.Storms[0].UEs != 256 {
-		t.Fatalf("baseline lacks the N=256 storm record: %+v", want.Storms)
-	}
-	got := measureStorm(256, 2)
-	baseline := want.Storms[0]
-	if baseline.NsPerUESec <= 0 {
-		t.Fatalf("baseline ns_per_ue_vsec = %v", baseline.NsPerUESec)
-	}
-	if got.NsPerUESec > baseline.NsPerUESec*1.2 {
-		t.Errorf("remediated storm cost %.0f ns/UE/vsec exceeds baseline %.0f by more than 20%%",
-			got.NsPerUESec, baseline.NsPerUESec)
-	} else {
-		t.Logf("remediated storm cost %.0f ns/UE/vsec vs baseline %.0f (within budget)",
-			got.NsPerUESec, baseline.NsPerUESec)
-	}
-	if got.Interventions != baseline.Interventions {
-		t.Errorf("intervention count drifted: got %d, baseline %d (same seed — this is behavioral, not noise)",
-			got.Interventions, baseline.Interventions)
-	}
 }

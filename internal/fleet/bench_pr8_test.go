@@ -155,41 +155,3 @@ func TestWriteBenchPR8JSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: sharded scale %.2fx, speedup %.2fx on %d cores", out, doc.ScaleSharded, doc.Speedup, cores)
 }
-
-// TestBenchComparePR8 guards the sharded fleet against wall-clock
-// regressions: re-measure a smaller sharded run and fail if its ns/op
-// exceeds the checked-in BENCH_PR8.json baseline's per-UE-virtual-second
-// figure by more than 20%.
-func TestBenchComparePR8(t *testing.T) {
-	base := os.Getenv("BENCH_PR8_BASELINE")
-	if base == "" {
-		t.Skip("BENCH_PR8_BASELINE not set")
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var want pr8Doc
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	if len(want.Sizes) < 2 {
-		t.Fatalf("baseline has %d sizes, want >= 2", len(want.Sizes))
-	}
-	// The serial sharded record (index 1) is the tracked figure; re-measure
-	// the same configuration (fixed setup cost amortizes differently at
-	// other sizes, so a smaller proxy run would not be apples-to-apples).
-	const n = 1024
-	var horizon time.Duration
-	r := measurePR8(2, func() { horizon = shardedBenchRun(n, 1) })
-	got := float64(r.NsPerOp()) / n / horizon.Seconds()
-	baseline := want.Sizes[1].NsPerUESec
-	if baseline <= 0 {
-		t.Fatalf("baseline ns_per_ue_vsec = %v", baseline)
-	}
-	if got > baseline*1.2 {
-		t.Errorf("sharded per-UE cost %.0f ns/UE/vsec exceeds baseline %.0f by more than 20%%", got, baseline)
-	} else {
-		t.Logf("sharded per-UE cost %.0f ns/UE/vsec vs baseline %.0f (within budget)", got, baseline)
-	}
-}
