@@ -23,14 +23,14 @@ import (
 )
 
 // BaseAddr is the first UE's address on the simulated carrier network;
-// UE i gets BaseAddr + i. It matches the single-device testbed address so
-// a 1-UE fleet is byte-identical to the legacy Bed.
+// UE i gets BaseAddr + i, so a one-UE lab's device is at BaseAddr.
 var BaseAddr = netip.MustParseAddr("10.20.0.2")
 
 // UE is one assembled device: its own network stack, bearer (attached to
-// the shared cell), server cluster, apps, collectors, and observability
-// scope. It is the per-device half of what testbed.Bed used to assemble;
-// Bed now embeds a UE.
+// the shared cell), server cluster, apps, collectors (pcap on the device's
+// IP layer, QxDM on the radio), and observability scope. A one-UE fleet's
+// UE is the whole lab the paper's tool runs against: connect an app, drive
+// it with the UI controller on K, and hand Session to the analyzer.
 type UE struct {
 	Index int
 	Name  string

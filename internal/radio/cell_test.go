@@ -39,7 +39,7 @@ func driveBearer(k *simtime.Kernel, b *Bearer, count, size int) ([]string, int) 
 // TestSingleBearerCellMatchesStandalone is the core cell-scheduler
 // compatibility property: a cell with one attached bearer must produce an
 // event-for-event identical PDU schedule to a standalone bearer at the same
-// seed — the guarantee the 1-UE fleet/legacy-Bed golden test builds on.
+// seed — the guarantee the 1-UE fleet golden test builds on.
 func TestSingleBearerCellMatchesStandalone(t *testing.T) {
 	for _, policy := range []SchedPolicy{SchedRoundRobin, SchedPropFair} {
 		run := func(withCell bool) ([]string, int) {
