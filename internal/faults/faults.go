@@ -159,7 +159,9 @@ type GEParams struct {
 
 // GEForMeanLoss returns parameters tuned so the long-run loss rate is
 // approximately mean, arranged in bursts of avgBurst packets (the ERRANT-
-// style "realistic RAN" configuration: bursty rather than i.i.d.).
+// style "realistic RAN" configuration: bursty rather than i.i.d.). Bursts
+// that short cannot reach a mean above avgBurst/(avgBurst+1); there the
+// mean is kept and the bursts grow.
 func GEForMeanLoss(mean float64, avgBurst float64) GEParams {
 	if avgBurst < 1 {
 		avgBurst = 1
@@ -171,6 +173,9 @@ func GEForMeanLoss(mean float64, avgBurst float64) GEParams {
 		mean = 0.999
 	}
 	pGB := pBG * mean / (1 - mean)
+	if pGB > 1 {
+		pGB, pBG = 1, (1-mean)/mean
+	}
 	return GEParams{PGoodBad: pGB, PBadGood: pBG, LossGood: 0, LossBad: 1}
 }
 

@@ -42,6 +42,27 @@ func TestGEDeterminism(t *testing.T) {
 	}
 }
 
+// TestGEHighMeanLoss: a mean too high for the requested burst length still
+// yields valid probabilities and the requested long-run rate.
+func TestGEHighMeanLoss(t *testing.T) {
+	const n = 200_000
+	for _, mean := range []float64{0.81, 0.9, 0.999} {
+		ge := GEForMeanLoss(mean, 4)
+		if err := (&Plan{GE: &ge}).Validate(); err != nil {
+			t.Fatalf("GEForMeanLoss(%v, 4): %v", mean, err)
+		}
+		lost := 0
+		for _, d := range driveLoss(NewChain(NewGilbertElliott(9, ge)), n) {
+			if d {
+				lost++
+			}
+		}
+		if rate := float64(lost) / n; rate < mean-0.02 || rate > mean+0.02 {
+			t.Errorf("GEForMeanLoss(%v, 4): long-run loss rate %.4f", mean, rate)
+		}
+	}
+}
+
 // TestGEMeanLossAndBurstiness: GEForMeanLoss hits the requested long-run
 // rate and arranges the losses in bursts of roughly the requested length.
 func TestGEMeanLossAndBurstiness(t *testing.T) {
