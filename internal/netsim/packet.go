@@ -178,6 +178,9 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	if total > len(buf) {
 		return nil, fmt.Errorf("netsim: truncated frame: total %d > %d", total, len(buf))
 	}
+	if total < ihl {
+		return nil, fmt.Errorf("netsim: total length %d below header length %d", total, ihl)
+	}
 	p := &Packet{Proto: Proto(buf[9])}
 	p.Src.Addr = netip.AddrFrom4([4]byte(buf[12:16]))
 	p.Dst.Addr = netip.AddrFrom4([4]byte(buf[16:20]))

@@ -73,7 +73,8 @@ func TestUnmarshalErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		make([]byte, 10), // too short
-		append([]byte{0x65}, make([]byte, 19)...), // IPv6 version nibble
+		append([]byte{0x65}, make([]byte, 19)...),           // IPv6 version nibble
+		append([]byte{0x45, 0, 0, 16}, make([]byte, 16)...), // total length below IHL
 	}
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
