@@ -9,6 +9,7 @@ package qxdm
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 
@@ -177,11 +178,23 @@ func (l *Log) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Read parses a log written by Write.
+// Read parses a log written by Write. It rejects a PDU whose size is
+// negative or whose Length Indicator lies outside [0, size], since the
+// analyzer indexes payload bytes by both.
 func Read(r io.Reader) (*Log, error) {
 	var l Log
 	if err := json.NewDecoder(r).Decode(&l); err != nil {
 		return nil, err
+	}
+	for i, p := range l.PDUs {
+		if p.Size < 0 {
+			return nil, fmt.Errorf("qxdm: PDU %d has negative size %d", i, p.Size)
+		}
+		for _, li := range p.LI {
+			if li < 0 || li > p.Size {
+				return nil, fmt.Errorf("qxdm: PDU %d has Length Indicator %d outside [0, %d]", i, li, p.Size)
+			}
+		}
 	}
 	return &l, nil
 }

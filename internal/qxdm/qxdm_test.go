@@ -108,8 +108,15 @@ func TestLogFileRoundtrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Fatal("accepted garbage")
+	for _, in := range []string{
+		"not json",
+		`{"pdus": [{"seq": 0, "size": -3, "head": [1, 2]}, {"seq": 1, "size": 4}]}`,
+		`{"pdus": [{"seq": 0, "size": 4, "li": [5]}]}`,
+		`{"pdus": [{"seq": 0, "size": 4, "li": [-1]}]}`,
+	} {
+		if _, err := Read(bytes.NewReader([]byte(in))); err == nil {
+			t.Errorf("accepted %s", in)
+		}
 	}
 }
 
