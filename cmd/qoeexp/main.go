@@ -130,12 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ThrottleBps: *throttle,
 	}
 	if *remedyOn {
-		spec := cfg.Remedy.Spec()
-		if spec == nil {
-			spec = &fleet.RemedySpec{}
-		}
-		spec.Observe = *remedyObserve
-		params.Remedy = spec
+		params.Remedy = &fleet.RemedySpec{Observe: *remedyObserve}
 	}
 	logger, err := newLogger(stderr, *logLevel)
 	if err != nil {

@@ -211,12 +211,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Workload: wl,
 	}
 	if *remedyOn {
-		spec := cfg.Remedy.Spec()
-		if spec == nil {
-			spec = &fleet.RemedySpec{}
-		}
-		spec.Observe = *remedyObserve
-		scen.Remedy = spec
+		scen.Remedy = &fleet.RemedySpec{Observe: *remedyObserve}
 	}
 	if *cells > 1 {
 		scen.Topology = &fleet.TopologySpec{Cells: *cells, X2Latency: *x2}

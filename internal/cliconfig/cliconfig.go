@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/fleet"
 )
 
@@ -50,43 +49,6 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("cliconfig: duration must be a string or number, got %T", v)
 }
 
-// Remedy configures the fleet's remediation controller from a config file.
-// Field semantics match fleet.RemedySpec (zero values mean the spec's
-// defaults).
-type Remedy struct {
-	Interval            Duration `json:"interval,omitempty"`
-	ActionLatency       Duration `json:"action_latency,omitempty"`
-	Cooldown            Duration `json:"cooldown,omitempty"`
-	MaxActionsPerUE     int      `json:"max_actions_per_ue,omitempty"`
-	EnergyPerActionJ    float64  `json:"energy_per_action_j,omitempty"`
-	EdgeDelay           Duration `json:"edge_delay,omitempty"`
-	Observe             bool     `json:"observe,omitempty"`
-	DisableServerSwitch bool     `json:"disable_server_switch,omitempty"`
-	DisableABR          bool     `json:"disable_abr,omitempty"`
-	DisableRRCRetune    bool     `json:"disable_rrc_retune,omitempty"`
-	Cells               []int    `json:"cells,omitempty"`
-}
-
-// Spec converts to the fleet's remedy specification.
-func (r *Remedy) Spec() *fleet.RemedySpec {
-	if r == nil {
-		return nil
-	}
-	return &fleet.RemedySpec{
-		Interval:            time.Duration(r.Interval),
-		ActionLatency:       time.Duration(r.ActionLatency),
-		Cooldown:            time.Duration(r.Cooldown),
-		MaxActionsPerUE:     r.MaxActionsPerUE,
-		EnergyPerActionJ:    r.EnergyPerActionJ,
-		EdgeDelay:           time.Duration(r.EdgeDelay),
-		Observe:             r.Observe,
-		DisableServerSwitch: r.DisableServerSwitch,
-		DisableABR:          r.DisableABR,
-		DisableRRCRetune:    r.DisableRRCRetune,
-		Cells:               r.Cells,
-	}
-}
-
 // Scenario is the shared CLI scenario configuration. Zero values mean "not
 // set" — each tool applies its own defaults after loading, and registers
 // its flags with the loaded values as defaults so explicit flags win.
@@ -112,20 +74,7 @@ type Scenario struct {
 	LossRate    float64 `json:"loss_rate,omitempty"`
 
 	// Remediation control plane (nil = controller-free).
-	Remedy *Remedy `json:"remedy,omitempty"`
-}
-
-// Params maps the scenario onto the experiment-package knobs.
-func (s Scenario) Params() experiments.Params {
-	return experiments.Params{
-		Horizon:     time.Duration(s.Horizon),
-		UEs:         s.UEs,
-		Cells:       s.Cells,
-		SpeedMps:    s.MobilityMps,
-		LossRate:    s.LossRate,
-		ThrottleBps: s.ThrottleBps,
-		Remedy:      s.Remedy.Spec(),
-	}
+	Remedy *fleet.RemedySpec `json:"remedy,omitempty"`
 }
 
 // PeekPath pre-scans a raw argument list for the -config flag (all the

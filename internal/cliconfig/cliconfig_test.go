@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
 )
 
 func sample() Scenario {
@@ -25,15 +27,7 @@ func sample() Scenario {
 		Workers:     2,
 		ThrottleBps: 280e3,
 		LossRate:    0.02,
-		Remedy: &Remedy{
-			Interval:         Duration(2 * time.Second),
-			ActionLatency:    Duration(100 * time.Millisecond),
-			Cooldown:         Duration(10 * time.Second),
-			MaxActionsPerUE:  4,
-			EnergyPerActionJ: 0.15,
-			DisableRRCRetune: true,
-			Cells:            []int{0, 2},
-		},
+		Remedy:      &fleet.RemedySpec{Observe: true},
 	}
 }
 
@@ -143,19 +137,26 @@ func TestPeekPath(t *testing.T) {
 	}
 }
 
-// TestParamsMapping: the scenario maps onto experiment Params field for
-// field, including the remedy spec.
-func TestParamsMapping(t *testing.T) {
-	p := sample().Params()
-	if p.Horizon != 12*time.Minute || p.UEs != 16 || p.Cells != 4 ||
-		p.SpeedMps != 20 || p.LossRate != 0.02 || p.ThrottleBps != 280e3 {
-		t.Fatalf("params = %+v", p)
+// TestRemedyBlock: the remedy block takes one key, observe; an empty block
+// turns the controller on, and a retired tuning key is an unknown field.
+func TestRemedyBlock(t *testing.T) {
+	for _, c := range []struct {
+		json string
+		want fleet.RemedySpec
+	}{
+		{`{"remedy": {}}`, fleet.RemedySpec{}},
+		{`{"remedy": {"observe": true}}`, fleet.RemedySpec{Observe: true}},
+	} {
+		s, err := Load("-", strings.NewReader(c.json))
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		if s.Remedy == nil || *s.Remedy != c.want {
+			t.Fatalf("%s: remedy = %+v, want %+v", c.json, s.Remedy, c.want)
+		}
 	}
-	if p.Remedy == nil || !p.Remedy.DisableRRCRetune || p.Remedy.Interval != 2*time.Second {
-		t.Fatalf("remedy spec = %+v", p.Remedy)
-	}
-	zero := Scenario{}.Params()
-	if zero.Remedy != nil {
-		t.Fatal("zero scenario produced a remedy spec")
+	if _, err := Load("-", strings.NewReader(`{"remedy": {"cooldown": "5s"}}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "cooldown"`) {
+		t.Fatalf("retired cooldown key: err = %v, want an unknown-field error", err)
 	}
 }

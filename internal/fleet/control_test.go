@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps/serversim"
 	"repro/internal/fleet"
 	"repro/internal/remedy"
-	"repro/internal/simtime"
 )
 
 // throttledVideoScenario is the shared remediation scenario: every UE
@@ -219,6 +218,17 @@ func TestScheduledRRCRetune(t *testing.T) {
 	}
 }
 
+// remedyStormScenario is the four-cell mobility storm with throttled
+// bearers and the controller in the loop.
+func remedyStormScenario() fleet.Scenario {
+	scen := stormScenario(11)
+	for i := range scen.UEs {
+		scen.UEs[i].ThrottleBps = 40e3 // pageloads crawl past the stall threshold
+	}
+	scen.Remedy = &fleet.RemedySpec{}
+	return scen
+}
+
 // TestShardedFleetGoldenRemedy extends the sharded determinism gate to an
 // actively remediating fleet: the storm scenario with throttled bearers and
 // the controller in the loop renders byte-identically at every worker count
@@ -227,16 +237,8 @@ func TestScheduledRRCRetune(t *testing.T) {
 // and 4.)
 func TestShardedFleetGoldenRemedy(t *testing.T) {
 	const horizon = 2 * time.Minute
-	scenario := func() fleet.Scenario {
-		scen := stormScenario(11)
-		for i := range scen.UEs {
-			scen.UEs[i].ThrottleBps = 40e3 // pageloads crawl past the stall threshold
-		}
-		scen.Remedy = &fleet.RemedySpec{}
-		return scen
-	}
 	run := func(workers int) (*fleet.Report, string) {
-		_, rep := runSharded(t, scenario(), horizon, fleet.WithWorkers(workers))
+		_, rep := runSharded(t, remedyStormScenario(), horizon, fleet.WithWorkers(workers))
 		return rep, rep.Render()
 	}
 	rep, golden := run(1)
@@ -259,8 +261,7 @@ func TestShardedFleetGoldenRemedy(t *testing.T) {
 }
 
 // TestOneCellRemedyGolden pins an actively remediated one-cell fleet: every
-// control tick sees all six UEs, and every action lands through the tick's
-// own kernel.
+// control tick sees all six UEs on the fleet's one kernel.
 func TestOneCellRemedyGolden(t *testing.T) {
 	scen := throttledVideoScenario(3, 6)
 	scen.Remedy = &fleet.RemedySpec{}
@@ -271,83 +272,43 @@ func TestOneCellRemedyGolden(t *testing.T) {
 	checkDigest(t, "one-cell-remedy/report", []byte(rep.Render()))
 }
 
-// TestCrossShardActionDelivery: a control hook on one shard actuating a UE
-// hosted on another shard rides the lockstep epoch barrier — the action
-// lands (at an epoch boundary plus latency), and the run stays
-// byte-identical at every worker count.
-func TestCrossShardActionDelivery(t *testing.T) {
-	const horizon = 2 * time.Minute
-	run := func(workers int) (*fleet.Report, string) {
-		scen := stormScenario(11)
-		f, err := fleet.Build(scen, fleet.WithHorizon(horizon), fleet.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// From shard 0's tick, retune the RRC machine of the last UE — homed
-		// on the last cell, i.e. a different shard whenever workers > 1.
-		target := f.UEs[len(f.UEs)-1]
-		issued := false
-		f.OnControl(10*time.Second, func(tick fleet.ControlTick) {
-			if tick.Shard != 0 || issued || tick.At < simtime.Time(30*time.Second) {
-				return
+// TestRemedyChunkedRunTo: a remediated fleet advanced by two RunTo calls
+// renders byte-identically to one RunTo, on one cell and on four. The
+// splits fall off the 2 s control grid: before the first tick, and
+// between a tick and the actions it schedules 100 ms later.
+func TestRemedyChunkedRunTo(t *testing.T) {
+	oneCell := throttledVideoScenario(3, 6)
+	oneCell.Remedy = &fleet.RemedySpec{}
+	for _, c := range []struct {
+		name    string
+		scen    fleet.Scenario
+		horizon time.Duration
+	}{
+		{"1 cell", oneCell, 4 * time.Minute},
+		{"4 cells", remedyStormScenario(), 2 * time.Minute},
+	} {
+		run := func(chunks ...time.Duration) string {
+			f, err := fleet.Build(c.scen, fleet.WithHorizon(c.horizon))
+			if err != nil {
+				t.Fatal(err)
 			}
-			issued = true
-			tick.Apply(target, remedy.Action{
-				UE: target.Index, Kind: remedy.ActionRRCRetune, Scale: 3,
-				Note: "cross-shard retune",
-			})
-		})
-		f.Drive()
-		f.RunTo(horizon)
-		f.CloseObs()
-		rep := f.Report()
-		if s := target.Net.Bearer.RRC().DemotionScale(); s != 3 {
-			t.Fatalf("workers=%d: cross-shard retune not applied (scale=%v)", workers, s)
-		}
-		return rep, rep.Render()
-	}
-
-	_, golden := run(1)
-	for _, workers := range []int{2, 4} {
-		if _, got := run(workers); got != golden {
-			t.Fatalf("workers=%d diverged from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				workers, golden, workers, got)
-		}
-	}
-}
-
-// TestLateControlHook: a hook registered between RunTo calls, off a
-// multiple of the shared period, fires on the same grid as the hooks
-// registered before the run, and does not silence them.
-func TestLateControlHook(t *testing.T) {
-	for _, cells := range []int{1, 2} {
-		scen := fleet.Scenario{Seed: 1, UEs: fleet.UniformUEs(2)}
-		if cells > 1 {
-			scen.Topology = &fleet.TopologySpec{Cells: cells}
-		}
-		f, err := fleet.Build(scen, fleet.WithHorizon(11*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var early, late []simtime.Time
-		f.OnControl(2*time.Second, func(tick fleet.ControlTick) {
-			if tick.Shard == 0 {
-				early = append(early, tick.At)
+			f.Drive()
+			for _, at := range chunks {
+				f.RunTo(at)
 			}
-		})
-		f.RunTo(1500 * time.Millisecond)
-		f.OnControl(2*time.Second, func(tick fleet.ControlTick) {
-			if tick.Shard == 0 {
-				late = append(late, tick.At)
+			f.CloseObs()
+			rep := f.Report()
+			if countInterventions(rep) == 0 {
+				t.Fatalf("%s: no interventions; the comparison is vacuous", c.name)
 			}
-		})
-		f.RunTo(11 * time.Second)
-		if len(early) != 5 || len(late) != 5 {
-			t.Fatalf("%d cell(s): hooks fired %d and %d times, want 5 each (early %v, late %v)",
-				cells, len(early), len(late), early, late)
+			return rep.Render()
 		}
-		if !reflect.DeepEqual(early, late) || late[0] != simtime.Time(2*time.Second) {
-			t.Fatalf("%d cell(s): early hook fired at %v, late hook at %v", cells, early, late)
+		whole := run(c.horizon)
+		for _, split := range []time.Duration{1500 * time.Millisecond, 60050 * time.Millisecond} {
+			if got := run(split, c.horizon); got != whole {
+				t.Fatalf("%s: RunTo split at %v diverged from one RunTo:\n--- one ---\n%s\n--- split ---\n%s",
+					c.name, split, whole, got)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/obs"
 	"repro/internal/radio"
+	"repro/internal/remedy"
 	"repro/internal/simtime"
 )
 
@@ -35,10 +36,9 @@ type Fleet struct {
 	// shard s over the last epoch.
 	airUL, airDL [][]simtime.Time
 
-	// controlState is the runtime-control surface: registered control
-	// hooks, the built-in remediation controller, and the cross-shard
-	// action mailbox (see control.go).
-	controlState
+	// remCtl is the built-in remediation controller, armed by the first
+	// RunTo of a scenario with a Remedy (see control.go).
+	remCtl *remedy.Controller
 }
 
 // Build assembles a fleet without running it: one shard per cell, UE i
@@ -177,7 +177,9 @@ func (f *Fleet) Drive() {
 // any worker count. A one-cell fleet has no peer shard to exchange with,
 // so its one kernel runs straight to the horizon with no barriers.
 func (f *Fleet) RunTo(horizon time.Duration) {
-	f.installControl()
+	if f.scen.Remedy != nil && f.remCtl == nil {
+		f.installRemedy()
+	}
 	if f.Topo == nil {
 		f.Shards[0].K.RunUntil(horizon)
 		return
@@ -188,10 +190,7 @@ func (f *Fleet) RunTo(horizon time.Duration) {
 	}
 	ls := simtime.NewLockstep(kernels, f.opts.workers)
 	defer ls.Close()
-	ls.Run(horizon, f.Topo.X2Latency, func(end simtime.Time) {
-		f.exchange(end)
-		f.deliverCrossShard(end)
-	})
+	ls.Run(horizon, f.Topo.X2Latency, f.exchange)
 }
 
 // now returns the fleet's virtual time (every shard's clock agrees

@@ -202,26 +202,6 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("fleet: negative handover hysteresis %v", m.Hysteresis)
 		}
 	}
-	if r := s.Remedy; r != nil {
-		if r.Interval < 0 || r.ActionLatency < 0 || r.Cooldown < 0 || r.EdgeDelay < 0 {
-			return fmt.Errorf("fleet: negative remedy timing (interval %v, latency %v, cooldown %v, edge delay %v)",
-				r.Interval, r.ActionLatency, r.Cooldown, r.EdgeDelay)
-		}
-		if r.MaxActionsPerUE < 0 {
-			return fmt.Errorf("fleet: negative remedy action budget %d", r.MaxActionsPerUE)
-		}
-		if r.EnergyPerActionJ < 0 {
-			return fmt.Errorf("fleet: negative remedy action energy %v J", r.EnergyPerActionJ)
-		}
-		if r.DisableServerSwitch && r.DisableABR && r.DisableRRCRetune && !r.Observe {
-			return fmt.Errorf("fleet: remedy enabled with every actuator disabled; set Observe for a measure-only run")
-		}
-		for _, c := range r.Cells {
-			if c < 0 || c >= s.cellCount() {
-				return fmt.Errorf("fleet: remedy targets cell %d, but the scenario has %d cell(s)", c, s.cellCount())
-			}
-		}
-	}
 	return nil
 }
 

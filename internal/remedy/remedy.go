@@ -114,64 +114,28 @@ type Signal struct {
 	DemotionScale  float64 // current RRC demotion-timer scale (0 or 1 = untouched)
 }
 
-// Config tunes the controller. Zero values select the noted defaults.
-type Config struct {
-	Interval        time.Duration // control period (default 2s)
-	Cooldown        time.Duration // min gap between actions on one UE (default 10s)
-	MaxActionsPerUE int           // intervention budget per UE (default 4)
-	// PageStallAfter marks a page load as stalled once it has been in
-	// flight this long (default 6s).
-	PageStallAfter time.Duration
-	// RRCThrashPerTick: this many RRC transitions inside one control
-	// interval reads as state-machine thrash (default 6).
-	RRCThrashPerTick int
-	// RetuneScale is the demotion-timer multiplier ActionRRCRetune applies
-	// (default 2).
-	RetuneScale float64
-	// RecoverTicks healthy ticks in a row step the ABR ladder back up
-	// (default 8).
-	RecoverTicks int
-	// MaxRung bounds how far down the ladder the controller will step
-	// (default 2, the bottom rung of the standard 3-rung ladder).
-	MaxRung int
-	// Observe runs the full diagnosis pipeline but suppresses every
-	// action — the no-op controller used to prove the control plane
-	// itself is byte-invisible.
-	Observe bool
-	// Actuator gates (all enabled by default).
-	DisableServerSwitch bool
-	DisableABR          bool
-	DisableRRCRetune    bool
-}
+// Interval is the control period: the fleet samples every UE and calls
+// Decide once per Interval of virtual time.
+const Interval = 2 * time.Second
 
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 10 * time.Second
-	}
-	if c.MaxActionsPerUE <= 0 {
-		c.MaxActionsPerUE = 4
-	}
-	if c.PageStallAfter <= 0 {
-		c.PageStallAfter = 6 * time.Second
-	}
-	if c.RRCThrashPerTick <= 0 {
-		c.RRCThrashPerTick = 6
-	}
-	if c.RetuneScale <= 0 {
-		c.RetuneScale = 2
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = 8
-	}
-	if c.MaxRung <= 0 {
-		c.MaxRung = 2
-	}
-	return c
-}
+// The controller's fixed policy.
+const (
+	cooldown        = 10 * time.Second // min gap between actions on one UE
+	maxActionsPerUE = 4                // intervention budget per UE
+	// pageStallAfter marks a page load as stalled once it has been in
+	// flight this long.
+	pageStallAfter = 6 * time.Second
+	// rrcThrashPerTick RRC transitions inside one control interval read as
+	// state-machine thrash.
+	rrcThrashPerTick = 6
+	// retuneScale is the demotion-timer multiplier ActionRRCRetune applies.
+	retuneScale = 2
+	// recoverTicks healthy ticks in a row step the ABR ladder back up.
+	recoverTicks = 8
+	// maxRung bounds how far down the ladder the controller will step: the
+	// bottom rung of the standard 3-rung ladder.
+	maxRung = 2
+)
 
 // Burn-rate fold windows (in control ticks): the controller alerts when
 // the short window is mostly bad AND the long window shows sustained
@@ -204,17 +168,17 @@ type ueState struct {
 // controller serves a whole fleet; its state is a flat per-UE slice so
 // shards may call Decide concurrently for disjoint UEs.
 type Controller struct {
-	cfg Config
-	ues []ueState
+	observe bool
+	ues     []ueState
 }
 
-// NewController builds a controller for numUEs devices.
-func NewController(cfg Config, numUEs int) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), ues: make([]ueState, numUEs)}
+// NewController builds a controller for numUEs devices. An observing
+// controller runs the full diagnosis pipeline but suppresses every action
+// — the no-op controller used to prove the control plane itself is
+// byte-invisible.
+func NewController(observe bool, numUEs int) *Controller {
+	return &Controller{observe: observe, ues: make([]ueState, numUEs)}
 }
-
-// Config returns the resolved (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Decide folds one UE's control-tick signal and returns the action to
 // apply, or nil. It must be called with monotonically non-decreasing
@@ -234,7 +198,7 @@ func (c *Controller) Decide(sig Signal) *Action {
 	// page load past the stall threshold, or a freshly failed load.
 	bad := sig.VideoStalled ||
 		sig.VideoStalls > prev.VideoStalls ||
-		sig.PageLoadAge >= c.cfg.PageStallAfter ||
+		sig.PageLoadAge >= pageStallAfter ||
 		sig.LoadFailures > prev.LoadFailures
 	c.fold(st, bad)
 	if bad {
@@ -243,19 +207,18 @@ func (c *Controller) Decide(sig Signal) *Action {
 		st.healthy++
 	}
 
-	if c.cfg.Observe {
+	if c.observe {
 		return nil
 	}
-	if st.actions >= c.cfg.MaxActionsPerUE {
+	if st.actions >= maxActionsPerUE {
 		return nil
 	}
-	if st.acted && sig.At-st.lastAct < c.cfg.Cooldown {
+	if st.acted && sig.At-st.lastAct < cooldown {
 		return nil
 	}
 
 	// Recovery path: a sustained healthy streak steps the ladder back up.
-	if !bad && st.healthy >= c.cfg.RecoverTicks && sig.VideoRung > 0 &&
-		sig.VideoActive && !c.cfg.DisableABR {
+	if !bad && st.healthy >= recoverTicks && sig.VideoRung > 0 && sig.VideoActive {
 		return c.issue(st, sig, Action{
 			UE: sig.UE, Kind: ActionABRStepUp, Diagnosis: LayerApp,
 			Note: fmt.Sprintf("healthy %d ticks at rung %d", st.healthy, sig.VideoRung),
@@ -275,11 +238,11 @@ func (c *Controller) Decide(sig Signal) *Action {
 	// RRC thrash: the state machine is churning hard while QoE burns —
 	// promotions are eating the latency budget. Stretch the demotion
 	// timers once.
-	if dRRC >= c.cfg.RRCThrashPerTick && !st.retuned && !c.cfg.DisableRRCRetune &&
+	if dRRC >= rrcThrashPerTick && !st.retuned &&
 		(sig.DemotionScale == 0 || sig.DemotionScale == 1) {
 		st.retuned = true
 		return c.issue(st, sig, Action{
-			UE: sig.UE, Kind: ActionRRCRetune, Scale: c.cfg.RetuneScale,
+			UE: sig.UE, Kind: ActionRRCRetune, Scale: retuneScale,
 			Diagnosis: LayerRadio,
 			Note:      fmt.Sprintf("%d RRC transitions in one tick", dRRC),
 		})
@@ -287,8 +250,7 @@ func (c *Controller) Decide(sig Signal) *Action {
 
 	// Link-layer loss or handover churn while the video burns: the radio
 	// layer cannot carry the current bitrate — step the ladder down.
-	if (dDrops > 0 || dHO > 0) && sig.VideoActive && !c.cfg.DisableABR &&
-		sig.VideoRung < c.cfg.MaxRung {
+	if (dDrops > 0 || dHO > 0) && sig.VideoActive && sig.VideoRung < maxRung {
 		return c.issue(st, sig, Action{
 			UE: sig.UE, Kind: ActionABRStepDown, Diagnosis: LayerRadio,
 			Note: fmt.Sprintf("%d radio drops, %d handovers this tick", dDrops, dHO),
@@ -297,7 +259,7 @@ func (c *Controller) Decide(sig Signal) *Action {
 
 	// No radio evidence but QoE still burning: blame the server/path and
 	// re-home onto the edge replicas (once).
-	if !sig.ServerSwitched && !st.switched && !c.cfg.DisableServerSwitch {
+	if !sig.ServerSwitched && !st.switched {
 		st.switched = true
 		return c.issue(st, sig, Action{
 			UE: sig.UE, Kind: ActionServerSwitch, Diagnosis: LayerServer,
@@ -309,7 +271,7 @@ func (c *Controller) Decide(sig Signal) *Action {
 	// shared air interface even without loss evidence (a throttled or
 	// contended cell serves bytes too slowly without dropping them) —
 	// step the ladder down as the last resort.
-	if sig.VideoActive && !c.cfg.DisableABR && sig.VideoRung < c.cfg.MaxRung {
+	if sig.VideoActive && sig.VideoRung < maxRung {
 		return c.issue(st, sig, Action{
 			UE: sig.UE, Kind: ActionABRStepDown, Diagnosis: LayerTransport,
 			Note: "burning after server switch; stepping ladder",

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-const tick = 2 * time.Second
+const tick = Interval
 
 // feed pushes n signals derived from base (with At advanced per tick),
 // mutating via fn before each Decide, and returns the actions issued.
@@ -22,14 +22,14 @@ func feed(c *Controller, n int, start time.Duration, fn func(i int) Signal) []Ac
 }
 
 func TestFirstTickEstablishesBaseline(t *testing.T) {
-	c := NewController(Config{}, 1)
+	c := NewController(false, 1)
 	if a := c.Decide(Signal{UE: 0, At: tick, VideoStalled: true, VideoActive: true}); a != nil {
 		t.Fatalf("first tick must not act, got %v", a.Kind)
 	}
 }
 
 func TestObserveNeverActs(t *testing.T) {
-	c := NewController(Config{Observe: true}, 1)
+	c := NewController(true, 1)
 	acts := feed(c, 20, tick, func(i int) Signal {
 		return Signal{UE: 0, VideoActive: true, VideoStalled: true, RadioDrops: i * 5}
 	})
@@ -39,7 +39,7 @@ func TestObserveNeverActs(t *testing.T) {
 }
 
 func TestRadioEvidenceStepsLadderDown(t *testing.T) {
-	c := NewController(Config{}, 1)
+	c := NewController(false, 1)
 	acts := feed(c, 6, tick, func(i int) Signal {
 		return Signal{UE: 0, VideoActive: true, VideoStalled: true, RadioDrops: i * 3}
 	})
@@ -52,7 +52,7 @@ func TestRadioEvidenceStepsLadderDown(t *testing.T) {
 }
 
 func TestCleanRadioSwitchesServer(t *testing.T) {
-	c := NewController(Config{}, 1)
+	c := NewController(false, 1)
 	acts := feed(c, 6, tick, func(i int) Signal {
 		return Signal{UE: 0, VideoActive: true, VideoStalled: true}
 	})
@@ -62,7 +62,7 @@ func TestCleanRadioSwitchesServer(t *testing.T) {
 }
 
 func TestPageStallSwitchesServer(t *testing.T) {
-	c := NewController(Config{}, 1)
+	c := NewController(false, 1)
 	acts := feed(c, 6, tick, func(i int) Signal {
 		return Signal{UE: 0, PageLoadAge: 10 * time.Second}
 	})
@@ -72,15 +72,18 @@ func TestPageStallSwitchesServer(t *testing.T) {
 }
 
 func TestRRCThrashRetunesOnce(t *testing.T) {
-	c := NewController(Config{Cooldown: time.Millisecond}, 1)
-	acts := feed(c, 12, tick, func(i int) Signal {
+	c := NewController(false, 1)
+	acts := feed(c, 30, tick, func(i int) Signal {
 		return Signal{UE: 0, VideoActive: true, VideoStalled: true, RRCTransitions: i * 10}
 	})
 	if len(acts) == 0 || acts[0].Kind != ActionRRCRetune {
 		t.Fatalf("want RRC retune first, got %v", acts)
 	}
 	if acts[0].Scale != 2 {
-		t.Fatalf("want default retune scale 2, got %v", acts[0].Scale)
+		t.Fatalf("want retune scale 2, got %v", acts[0].Scale)
+	}
+	if len(acts) != maxActionsPerUE {
+		t.Fatalf("a burning UE should spend its budget: got %d actions", len(acts))
 	}
 	for _, a := range acts[1:] {
 		if a.Kind == ActionRRCRetune {
@@ -89,43 +92,52 @@ func TestRRCThrashRetunesOnce(t *testing.T) {
 	}
 }
 
+// TestCooldownAndBudget: a UE that burns with radio evidence on every tick
+// is acted on every 10 s until its budget of four actions is spent.
 func TestCooldownAndBudget(t *testing.T) {
-	c := NewController(Config{Cooldown: 10 * time.Second, MaxActionsPerUE: 2}, 1)
-	acts := feed(c, 60, tick, func(i int) Signal {
-		return Signal{UE: 0, VideoActive: true, VideoStalled: true, RadioDrops: i, ServerSwitched: true}
-	})
-	if len(acts) != 2 {
-		t.Fatalf("budget 2: got %d actions", len(acts))
+	c := NewController(false, 1)
+	var at []time.Duration
+	for i := 0; i < 60; i++ {
+		sig := Signal{UE: 0, At: tick * time.Duration(i+1), VideoActive: true, VideoStalled: true,
+			RadioDrops: i, ServerSwitched: true}
+		if a := c.Decide(sig); a != nil {
+			at = append(at, sig.At)
+		}
 	}
-	if gap := acts[1].UE; gap != 0 {
-		t.Fatalf("unexpected UE %d", gap)
+	if len(at) != 4 {
+		t.Fatalf("budget 4: got %d actions at %v", len(at), at)
+	}
+	for i := 1; i < len(at); i++ {
+		if gap := at[i] - at[i-1]; gap != 10*time.Second {
+			t.Fatalf("actions at %v: gap %v, want the 10s cooldown", at, gap)
+		}
 	}
 }
 
+// TestHealthyStreakStepsBackUp: after a burn moved the ladder down, the
+// eighth healthy tick in a row steps it back up, and no earlier one does.
 func TestHealthyStreakStepsBackUp(t *testing.T) {
-	c := NewController(Config{Cooldown: time.Millisecond, RecoverTicks: 4, MaxActionsPerUE: 10}, 1)
+	c := NewController(false, 1)
 	// Burn first so the ladder is down one rung.
 	feed(c, 6, tick, func(i int) Signal {
 		return Signal{UE: 0, VideoActive: true, VideoStalled: true, RadioDrops: i * 2}
 	})
 	// Then a clean streak at rung 1.
-	acts := feed(c, 8, 100*time.Second, func(i int) Signal {
-		return Signal{UE: 0, VideoActive: true, VideoRung: 1}
-	})
-	found := false
-	for _, a := range acts {
+	clean := func(int) Signal { return Signal{UE: 0, VideoActive: true, VideoRung: 1} }
+	for _, a := range feed(c, 7, 100*time.Second, clean) {
 		if a.Kind == ActionABRStepUp {
-			found = true
+			t.Fatalf("stepped up within seven healthy ticks: %v", a)
 		}
 	}
-	if !found {
-		t.Fatalf("healthy streak never stepped ladder up: %v", acts)
+	acts := feed(c, 1, 100*time.Second+7*tick, clean)
+	if len(acts) != 1 || acts[0].Kind != ActionABRStepUp {
+		t.Fatalf("want a step up on the eighth healthy tick, got %v", acts)
 	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []Action {
-		c := NewController(Config{Cooldown: 4 * time.Second}, 3)
+		c := NewController(false, 3)
 		var out []Action
 		for i := 0; i < 40; i++ {
 			for ue := 0; ue < 3; ue++ {
