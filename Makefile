@@ -24,7 +24,8 @@ test-short: build
 # the fleet goldens (internal/fleet/testdata) and the whole experiment
 # registry (internal/experiments/testdata). It runs every example once
 # (about 2 s together with a warm build cache), then ends with a 10 s fuzz
-# of the message framing and the benchmark's ~10 s smoke test.
+# of the message framing, a vet of the benchmark module (its own module,
+# so the root vet stops short of it) and the benchmark's ~10 s smoke test.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -35,7 +36,7 @@ verify: build
 	$(MAKE) sharded-golden
 	@set -e; for ex in examples/*/; do echo "$(GO) run ./$$ex"; $(GO) run ./$$ex > /dev/null; done
 	$(GO) test -run '^$$' -fuzz FuzzMsgConnFeed -fuzztime 10s ./internal/netsim/
-	cd bench && $(GO) test .
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The sharded fleet's determinism contract, pinned at both extremes of
 # runtime parallelism: the multi-cell mobility goldens (plain and
