@@ -161,9 +161,10 @@ func (n *Network) uplink(p *Packet) {
 func (n *Network) fromServer(from *Stack, p *Packet) {
 	if p.Dst.Addr == n.Device.Addr() {
 		n.k.After(n.pathDelay(from.Addr()), func() {
-			wire := n.marshalWire(p)
-			n.DLQdisc.Enqueue(len(wire), func() {
-				n.Bearer.SendDownlink(wire, func() {
+			// Marshal after the qdisc: a duplicating fault stage forwards
+			// twice, and each copy needs a wire buffer of its own.
+			n.DLQdisc.Enqueue(p.WireLen(), func() {
+				n.Bearer.SendDownlink(n.marshalWire(p), func() {
 					n.Device.Input(p)
 				})
 			}, nil)
