@@ -15,7 +15,9 @@
 // paying an O(n) sift to extract it from the middle of the heap). Each
 // Kernel is fully self-contained — no package-level state — so independent
 // kernels can run on separate goroutines concurrently, which is what the
-// sweep engine (internal/sweep) does.
+// sweep engine (internal/sweep) does. Hot per-packet paths schedule with
+// AtWith/AfterWith, which take a callback bound once per object plus the
+// pointer it acts on, so a hop allocates no closure.
 package simtime
 
 import (
@@ -41,10 +43,14 @@ type Time = time.Duration
 // current occupant from earlier schedules that reused the same object, so a
 // stale handle can never touch a recycled event.
 type event struct {
-	when   Time
-	seq    uint64
-	gen    uint64
+	when Time
+	seq  uint64
+	gen  uint64
+	// fn is an At callback; an AtWith event sets fnArg and arg instead and
+	// fires as fnArg(arg).
 	fn     func()
+	fnArg  func(any)
+	arg    any
 	dead   bool
 	kernel *Kernel
 }
@@ -80,7 +86,9 @@ func (ev Event) Cancel() {
 		return
 	}
 	e.dead = true
-	e.fn = nil // release the closure now; the shell is collected lazily
+	// Release the callback and its argument now; the shell is collected
+	// lazily.
+	e.fn, e.fnArg, e.arg = nil, nil, nil
 	k := e.kernel
 	k.live--
 	k.deadInQueue++
@@ -212,9 +220,10 @@ func (k *Kernel) SetProfiler(p *obs.Profiler) {
 	}
 }
 
-// siteName resolves a callback to its defining function's symbol name,
-// cached per code pointer since the same closures fire millions of times.
-func (k *Kernel) siteName(fn func()) string {
+// siteName resolves a callback (a func() or an AtWith func(any)) to its
+// defining function's symbol name, cached per code pointer since the same
+// closures fire millions of times.
+func (k *Kernel) siteName(fn any) string {
 	pc := reflect.ValueOf(fn).Pointer()
 	if name, ok := k.siteNames[pc]; ok {
 		return name
@@ -242,7 +251,7 @@ func (k *Kernel) alloc() *event {
 // every outstanding handle to the old schedule.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn = nil
+	e.fn, e.fnArg, e.arg = nil, nil, nil
 	k.free = append(k.free, e)
 }
 
@@ -359,15 +368,34 @@ func (k *Kernel) maybeCompact() {
 // it is always a model bug, and silently clamping would hide causality
 // violations.
 func (k *Kernel) At(t Time, fn func()) Event {
+	e := k.schedule(t)
+	e.fn = fn
+	return Event{e: e, gen: e.gen}
+}
+
+// AtWith schedules fn(arg) at absolute virtual time t. It is At for a
+// callback bound once per object: a per-packet hop passes its packet as arg
+// instead of capturing it in a fresh closure, so scheduling allocates
+// nothing. AtWith and At share one sequence counter, so events at one
+// instant fire in schedule order whichever entry point made them, and the
+// returned handle behaves exactly as At's.
+func (k *Kernel) AtWith(t Time, fn func(any), arg any) Event {
+	e := k.schedule(t)
+	e.fnArg, e.arg = fn, arg
+	return Event{e: e, gen: e.gen}
+}
+
+// schedule queues a fresh event shell at t; the caller sets its callback.
+func (k *Kernel) schedule(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", t, k.now))
 	}
 	e := k.alloc()
-	e.when, e.seq, e.fn, e.dead = t, k.seq, fn, false
+	e.when, e.seq, e.dead = t, k.seq, false
 	k.seq++
 	k.live++
 	k.push(e)
-	return Event{e: e, gen: e.gen}
+	return e
 }
 
 // After schedules fn delay after the current virtual time.
@@ -376,6 +404,14 @@ func (k *Kernel) After(delay time.Duration, fn func()) Event {
 		delay = 0
 	}
 	return k.At(k.now+delay, fn)
+}
+
+// AfterWith schedules fn(arg) delay after the current virtual time.
+func (k *Kernel) AfterWith(delay time.Duration, fn func(any), arg any) Event {
+	if delay < 0 {
+		delay = 0
+	}
+	return k.AtWith(k.now+delay, fn, arg)
 }
 
 // Stop makes the currently executing Run/RunUntil return after the current
@@ -418,7 +454,7 @@ func (k *Kernel) step() bool {
 	}
 	k.popTop()
 	k.now = e.when
-	fn := e.fn
+	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	k.live--
 	k.processed++
 	// Recycle before running the callback: handles to this event go stale
@@ -430,13 +466,25 @@ func (k *Kernel) step() bool {
 		k.trace.CounterSample(obs.LayerKernel, "queue_depth", float64(k.live))
 	}
 	if k.prof != nil {
-		site := k.siteName(fn)
+		var cb any = fnArg
+		if fn != nil {
+			cb = fn
+		}
+		site := k.siteName(cb)
 		t0 := time.Now()
-		fn()
+		if fn != nil {
+			fn()
+		} else {
+			fnArg(arg)
+		}
 		k.prof.Observe(site, time.Since(t0))
 		return true
 	}
-	fn()
+	if fn != nil {
+		fn()
+	} else {
+		fnArg(arg)
+	}
 	return true
 }
 
