@@ -289,7 +289,7 @@ func BenchmarkRLCSegmentation(b *testing.B) {
 		prof := radio.Profile3G()
 		bearer := radio.NewBearer(k, prof)
 		for j := 0; j < 700; j++ { // ~1MB in 1400B packets
-			bearer.SendUplink(make([]byte, 1400), nil)
+			bearer.SendUplink(make([]byte, 1400), nil, nil)
 		}
 		k.Run()
 	}

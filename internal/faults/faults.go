@@ -67,8 +67,8 @@ func (c *Chain) SetNext(q netsim.Qdisc) {
 }
 
 // Enqueue implements netsim.Qdisc.
-func (c *Chain) Enqueue(wireLen int, deliver func(), drop func()) {
-	c.apply(0, wireLen, deliver, drop)
+func (c *Chain) Enqueue(wireLen int, deliver func(any), arg any, drop func()) {
+	c.apply(0, wireLen, deliver, arg, drop)
 }
 
 // SetObs attaches drop instrumentation: a radio-layer "fault:drop" trace
@@ -81,12 +81,12 @@ func (c *Chain) SetObs(tr *obs.Trace, reg *obs.Registry, label string) {
 	c.drops = reg.Counter("fault_" + label + "_drops")
 }
 
-func (c *Chain) apply(i, wireLen int, deliver, drop func()) {
+func (c *Chain) apply(i, wireLen int, deliver func(any), arg any, drop func()) {
 	if i >= len(c.stages) {
-		c.next.Enqueue(wireLen, deliver, drop)
+		c.next.Enqueue(wireLen, deliver, arg, drop)
 		return
 	}
-	c.stages[i].Apply(wireLen, func() { c.apply(i+1, wireLen, deliver, drop) }, func() {
+	c.stages[i].Apply(wireLen, func() { c.apply(i+1, wireLen, deliver, arg, drop) }, func() {
 		c.drops.Inc()
 		if c.tr != nil {
 			c.tr.Instant(obs.LayerRadio, "fault:drop", c.tr.Scope(),

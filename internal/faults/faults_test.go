@@ -12,7 +12,7 @@ func driveLoss(c *Chain, n int) []bool {
 	drops := make([]bool, n)
 	for i := 0; i < n; i++ {
 		i := i
-		c.Enqueue(1400, func() {}, func() { drops[i] = true })
+		c.Enqueue(1400, func(any) {}, nil, func() { drops[i] = true })
 	}
 	return drops
 }
@@ -112,7 +112,7 @@ func TestChainAccounting(t *testing.T) {
 	const n = 50_000
 	delivered, dropped := 0, 0
 	for i := 0; i < n; i++ {
-		c.Enqueue(1400, func() { delivered++ }, func() { dropped++ })
+		c.Enqueue(1400, func(any) { delivered++ }, nil, func() { dropped++ })
 	}
 	if delivered+dropped != n {
 		t.Fatalf("delivered %d + dropped %d != %d", delivered, dropped, n)
@@ -129,7 +129,7 @@ func TestDuplicator(t *testing.T) {
 	c := NewChain(NewDuplicator(1, 1.0))
 	n := 0
 	for i := 0; i < 100; i++ {
-		c.Enqueue(100, func() { n++ }, nil)
+		c.Enqueue(100, func(any) { n++ }, nil, nil)
 	}
 	if n != 200 {
 		t.Fatalf("p=1 duplicator delivered %d copies of 100 packets, want 200", n)
@@ -146,7 +146,7 @@ func TestJitterPreservesFIFO(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		k.At(simtime.Time(i)*simtime.Time(time.Millisecond), func() {
-			c.Enqueue(1400, func() { out = append(out, i) }, nil)
+			c.Enqueue(1400, func(any) { out = append(out, i) }, nil, nil)
 		})
 	}
 	k.Run()
@@ -170,7 +170,7 @@ func TestReordererOvertakes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		k.At(simtime.Time(i)*simtime.Time(time.Millisecond), func() {
-			c.Enqueue(1400, func() { out = append(out, i) }, nil)
+			c.Enqueue(1400, func(any) { out = append(out, i) }, nil, nil)
 		})
 	}
 	k.Run()
@@ -227,7 +227,7 @@ func TestPlanEmpty(t *testing.T) {
 	k := simtime.NewKernel(1)
 	c := (&Plan{}).Build(k, Downlink, 1)
 	delivered := 0
-	c.Enqueue(100, func() { delivered++ }, nil)
+	c.Enqueue(100, func(any) { delivered++ }, nil, nil)
 	if delivered != 1 || c.Dropped() != 0 {
 		t.Fatal("empty chain is not a pass-through")
 	}

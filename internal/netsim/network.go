@@ -44,6 +44,12 @@ type Network struct {
 	// once per packet instead of allocating per packet.
 	wireFree [][]byte
 
+	// The six hops of a packet's trip, bound once: each passes the
+	// *Packet to the next as its argument instead of capturing it in a
+	// fresh closure.
+	ulQdiscFn, ulCoreFn, toServerFn   func(any)
+	dlQdiscFn, dlBearerFn, toDeviceFn func(any)
+
 	tr  *obs.Trace
 	reg *obs.Registry
 }
@@ -60,6 +66,8 @@ func NewNetwork(k *simtime.Kernel, prof *radio.Profile, deviceAddr netip.Addr, c
 		DLQdisc:   PassQdisc{},
 		servers:   make(map[netip.Addr]*Stack),
 	}
+	n.ulQdiscFn, n.ulCoreFn, n.toServerFn = n.ulQdisc, n.ulCore, n.toServer
+	n.dlQdiscFn, n.dlBearerFn, n.toDeviceFn = n.dlQdisc, n.dlBearer, n.toDevice
 	n.Device.SetOutput(n.uplink)
 	n.Bearer.SetPayloadRelease(n.releaseWire)
 	return n
@@ -142,36 +150,57 @@ func (n *Network) pathDelay(addr netip.Addr) time.Duration {
 	return n.CoreDelay
 }
 
-// uplink carries a device packet through the bearer and core to its server.
+// uplink carries a device packet through the bearer, the uplink qdisc and
+// the core to its server.
 func (n *Network) uplink(p *Packet) {
-	wire := n.marshalWire(p)
-	n.Bearer.SendUplink(wire, func() {
-		n.ULQdisc.Enqueue(len(wire), func() {
-			n.k.After(n.pathDelay(p.Dst.Addr), func() {
-				if srv, ok := n.servers[p.Dst.Addr]; ok {
-					srv.Input(p)
-				}
-			})
-		}, nil)
-	})
+	n.Bearer.SendUplink(n.marshalWire(p), n.ulQdiscFn, p)
 }
 
-// fromServer routes a server packet: to the device via the downlink path, or
-// directly to another server.
+// ulQdisc: the packet has reached the base station.
+func (n *Network) ulQdisc(arg any) {
+	p := arg.(*Packet)
+	n.ULQdisc.Enqueue(p.WireLen(), n.ulCoreFn, p, nil)
+}
+
+// ulCore: the packet has left the uplink qdisc for the core.
+func (n *Network) ulCore(arg any) {
+	p := arg.(*Packet)
+	n.k.AfterWith(n.pathDelay(p.Dst.Addr), n.toServerFn, p)
+}
+
+// toServer: the packet has crossed the core to its destination server.
+func (n *Network) toServer(arg any) {
+	p := arg.(*Packet)
+	if srv, ok := n.servers[p.Dst.Addr]; ok {
+		srv.Input(p)
+	}
+}
+
+// fromServer routes a server packet: to the device via the core, the
+// downlink qdisc and the bearer, or directly to another server.
 func (n *Network) fromServer(from *Stack, p *Packet) {
 	if p.Dst.Addr == n.Device.Addr() {
-		n.k.After(n.pathDelay(from.Addr()), func() {
-			// Marshal after the qdisc: a duplicating fault stage forwards
-			// twice, and each copy needs a wire buffer of its own.
-			n.DLQdisc.Enqueue(p.WireLen(), func() {
-				n.Bearer.SendDownlink(n.marshalWire(p), func() {
-					n.Device.Input(p)
-				})
-			}, nil)
-		})
+		n.k.AfterWith(n.pathDelay(from.Addr()), n.dlQdiscFn, p)
 		return
 	}
 	if srv, ok := n.servers[p.Dst.Addr]; ok && srv != from {
-		n.k.After(2*n.CoreDelay, func() { srv.Input(p) })
+		n.k.AfterWith(2*n.CoreDelay, n.toServerFn, p)
 	}
 }
+
+// dlQdisc: the packet has crossed the core to the base station.
+func (n *Network) dlQdisc(arg any) {
+	p := arg.(*Packet)
+	n.DLQdisc.Enqueue(p.WireLen(), n.dlBearerFn, p, nil)
+}
+
+// dlBearer: the packet has left the downlink qdisc. It is marshaled here,
+// after the qdisc, because a duplicating fault stage forwards twice and
+// each copy needs a wire buffer of its own.
+func (n *Network) dlBearer(arg any) {
+	p := arg.(*Packet)
+	n.Bearer.SendDownlink(n.marshalWire(p), n.toDeviceFn, p)
+}
+
+// toDevice: the bearer has reassembled the packet at the device.
+func (n *Network) toDevice(arg any) { n.Device.Input(arg.(*Packet)) }

@@ -141,7 +141,7 @@ func TestPolicerDropsExcess(t *testing.T) {
 	delivered, dropped := 0, 0
 	// Offer 100 x 1500B instantly: burst allows ~6, the rest drop.
 	for i := 0; i < 100; i++ {
-		pol.Enqueue(1500, func() { delivered++ }, func() { dropped++ })
+		pol.Enqueue(1500, func(any) { delivered++ }, nil, func() { dropped++ })
 	}
 	if delivered < 5 || delivered > 8 {
 		t.Fatalf("delivered = %d, want ~6 from the burst", delivered)
@@ -154,7 +154,7 @@ func TestPolicerDropsExcess(t *testing.T) {
 	k.RunUntil(time.Second)
 	before := delivered
 	for i := 0; i < 20; i++ {
-		pol.Enqueue(1500, func() { delivered++ }, nil)
+		pol.Enqueue(1500, func(any) { delivered++ }, nil, nil)
 	}
 	if gained := delivered - before; gained < 6 || gained > 7 {
 		t.Fatalf("after 1s refill delivered %d more, want ~6 (capacity-limited)", gained)
@@ -166,7 +166,7 @@ func TestShaperDelaysInsteadOfDropping(t *testing.T) {
 	sh := NewShaper(k, 100e3, 10_000, 1<<20)
 	var times []simtime.Time
 	for i := 0; i < 20; i++ {
-		sh.Enqueue(1500, func() { times = append(times, k.Now()) }, nil)
+		sh.Enqueue(1500, func(any) { times = append(times, k.Now()) }, nil, nil)
 	}
 	k.Run()
 	if len(times) != 20 {
@@ -190,7 +190,7 @@ func TestShaperTailDrop(t *testing.T) {
 	sh := NewShaper(k, 100e3, 1000, 5000) // tiny queue
 	delivered, dropped := 0, 0
 	for i := 0; i < 50; i++ {
-		sh.Enqueue(1500, func() { delivered++ }, func() { dropped++ })
+		sh.Enqueue(1500, func(any) { delivered++ }, nil, func() { dropped++ })
 	}
 	k.Run()
 	if dropped == 0 {

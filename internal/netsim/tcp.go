@@ -58,8 +58,10 @@ type Conn struct {
 	ssthresh float64
 	rwnd     int
 	dupAcks  int
-	// retransmit state
+	// retransmit state; onRTOFn is onRTO, bound once because every arm
+	// schedules it
 	rtoTimer    simtime.Event
+	onRTOFn     func()
 	rto         time.Duration
 	srtt        time.Duration
 	rttvar      time.Duration
@@ -94,7 +96,7 @@ type Conn struct {
 
 func newConn(s *Stack, local, remote Endpoint) *Conn {
 	iss := uint32(s.k.Rand().Int63()) | 1
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		key:      FlowKey{Src: local, Dst: remote, Proto: ProtoTCP},
 		iss:      iss,
@@ -107,6 +109,8 @@ func newConn(s *Stack, local, remote Endpoint) *Conn {
 		rto:      initialRTO,
 		ooo:      make(map[uint32][]byte),
 	}
+	c.onRTOFn = c.onRTO
+	return c
 }
 
 // Local and Remote return the connection endpoints.
@@ -332,7 +336,7 @@ func (c *Conn) trySend() {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.stack.k.After(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.k.After(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) disarmRTO() {

@@ -10,17 +10,19 @@ import (
 
 // Qdisc is a queueing discipline applied at the base station, used to model
 // carrier rate limiting. Enqueue either forwards the packet (possibly later,
-// for a shaper) by calling deliver, or drops it by never calling deliver.
-// drop, when non-nil, is invoked on a drop so tests can count losses.
+// for a shaper) by calling deliver(arg), or drops it by never calling
+// deliver. The caller binds deliver once and passes its packet as arg, so a
+// hop allocates no closure. drop, when non-nil, is invoked on a drop so
+// tests can count losses.
 type Qdisc interface {
-	Enqueue(wireLen int, deliver func(), drop func())
+	Enqueue(wireLen int, deliver func(any), arg any, drop func())
 }
 
 // PassQdisc forwards everything immediately (no throttling).
 type PassQdisc struct{}
 
 // Enqueue implements Qdisc.
-func (PassQdisc) Enqueue(wireLen int, deliver func(), drop func()) { deliver() }
+func (PassQdisc) Enqueue(wireLen int, deliver func(any), arg any, drop func()) { deliver(arg) }
 
 // bucket is the shared token-bucket core: tokens accumulate at RateBps/8
 // bytes per second up to BurstBytes.
@@ -139,9 +141,9 @@ func NewPolicer(k *simtime.Kernel, rateBps float64, burstBytes int) *Policer {
 }
 
 // Enqueue implements Qdisc.
-func (p *Policer) Enqueue(wireLen int, deliver func(), drop func()) {
+func (p *Policer) Enqueue(wireLen int, deliver func(any), arg any, drop func()) {
 	if p.b.take(wireLen) {
-		deliver()
+		deliver(arg)
 		return
 	}
 	p.Drops++
@@ -164,6 +166,8 @@ type Shaper struct {
 	limit    int // max queued bytes before tail drop
 	draining bool
 	Drops    int
+	// releaseFn is release, bound once: a drain schedules it per packet.
+	releaseFn func()
 }
 
 // SetObs attaches drop instrumentation under the given qdisc name (e.g.
@@ -174,19 +178,22 @@ func (s *Shaper) SetObs(tr *obs.Trace, reg *obs.Registry, name string) {
 
 type shaped struct {
 	wireLen int
-	deliver func()
+	deliver func(any)
+	arg     any
 }
 
 // NewShaper creates a shaper at rateBps with the given burst allowance and
 // queue byte limit.
 func NewShaper(k *simtime.Kernel, rateBps float64, burstBytes, queueLimit int) *Shaper {
-	return &Shaper{k: k, b: newBucket(k, rateBps, burstBytes), limit: queueLimit}
+	s := &Shaper{k: k, b: newBucket(k, rateBps, burstBytes), limit: queueLimit}
+	s.releaseFn = s.release
+	return s
 }
 
 // Enqueue implements Qdisc.
-func (s *Shaper) Enqueue(wireLen int, deliver func(), drop func()) {
+func (s *Shaper) Enqueue(wireLen int, deliver func(any), arg any, drop func()) {
 	if len(s.queue) == 0 && s.b.take(wireLen) {
-		deliver()
+		deliver(arg)
 		return
 	}
 	if s.queued+wireLen > s.limit {
@@ -197,7 +204,7 @@ func (s *Shaper) Enqueue(wireLen int, deliver func(), drop func()) {
 		}
 		return
 	}
-	s.queue = append(s.queue, shaped{wireLen, deliver})
+	s.queue = append(s.queue, shaped{wireLen, deliver, arg})
 	s.queued += wireLen
 	s.drain()
 }
@@ -209,23 +216,26 @@ func (s *Shaper) drain() {
 	if s.draining || len(s.queue) == 0 {
 		return
 	}
-	head := s.queue[0]
-	delay := s.b.deficitDelay(head.wireLen)
+	delay := s.b.deficitDelay(s.queue[0].wireLen)
 	s.draining = true
-	s.k.After(delay, func() {
-		s.draining = false
-		if len(s.queue) == 0 {
-			return
-		}
-		head := s.queue[0]
-		if !s.b.take(head.wireLen) {
-			// Tokens raced away (shouldn't happen with one drainer); retry.
-			s.drain()
-			return
-		}
-		s.queue = s.queue[1:]
-		s.queued -= head.wireLen
-		head.deliver()
+	s.k.After(delay, s.releaseFn)
+}
+
+// release forwards the head of the queue once its tokens have accrued.
+func (s *Shaper) release() {
+	s.draining = false
+	if len(s.queue) == 0 {
+		return
+	}
+	head := s.queue[0]
+	if !s.b.take(head.wireLen) {
+		// Tokens raced away (shouldn't happen with one drainer); retry.
 		s.drain()
-	})
+		return
+	}
+	s.queue[0] = shaped{}
+	s.queue = s.queue[1:]
+	s.queued -= head.wireLen
+	head.deliver(head.arg)
+	s.drain()
 }

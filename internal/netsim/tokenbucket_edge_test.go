@@ -14,7 +14,7 @@ func TestPolicerZeroRate(t *testing.T) {
 	p := NewPolicer(k, 0, 0) // burst floored to bucketMinBytes
 	passed, dropped := 0, 0
 	for i := 0; i < 10; i++ {
-		p.Enqueue(1400, func() { passed++ }, func() { dropped++ })
+		p.Enqueue(1400, func(any) { passed++ }, nil, func() { dropped++ })
 	}
 	if passed != 1 || dropped != 9 {
 		t.Fatalf("zero-rate policer: passed=%d dropped=%d, want 1/9", passed, dropped)
@@ -31,7 +31,7 @@ func TestShaperZeroRate(t *testing.T) {
 	s := NewShaper(k, 0, 0, 3000)
 	passed, dropped := 0, 0
 	for i := 0; i < 10; i++ {
-		s.Enqueue(1400, func() { passed++ }, func() { dropped++ })
+		s.Enqueue(1400, func(any) { passed++ }, nil, func() { dropped++ })
 	}
 	k.RunUntil(simtime.Time(time.Hour))
 	if passed != 1 {
@@ -51,7 +51,7 @@ func TestBurstBelowPacketSize(t *testing.T) {
 	k := simtime.NewKernel(1)
 	p := NewPolicer(k, 1e6, 100)
 	passed := false
-	p.Enqueue(1500, func() { passed = true }, nil)
+	p.Enqueue(1500, func(any) { passed = true }, nil, nil)
 	if !passed {
 		t.Fatal("full-size packet refused by a floored burst bucket")
 	}
@@ -66,7 +66,7 @@ func TestShaperRefillAfterLongIdle(t *testing.T) {
 
 	// Exhaust the initial burst (bucketMinBytes = 1600).
 	got := 0
-	s.Enqueue(1600, func() { got++ }, nil)
+	s.Enqueue(1600, func(any) { got++ }, nil, nil)
 	if got != 1 {
 		t.Fatal("initial burst refused")
 	}
@@ -75,7 +75,7 @@ func TestShaperRefillAfterLongIdle(t *testing.T) {
 	k.RunUntil(simtime.Time(time.Hour))
 	var deliveredAt []simtime.Time
 	for i := 0; i < 3; i++ {
-		s.Enqueue(1000, func() { deliveredAt = append(deliveredAt, k.Now()) }, nil)
+		s.Enqueue(1000, func(any) { deliveredAt = append(deliveredAt, k.Now()) }, nil, nil)
 	}
 	k.Run()
 	if len(deliveredAt) != 3 {

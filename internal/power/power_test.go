@@ -108,7 +108,7 @@ func TestEndToEndEnergyFromSimulatedTraffic(t *testing.T) {
 	k := simtime.NewKernel(5)
 	b := radio.NewBearer(k, prof)
 	m := qxdm.Attach(b)
-	b.SendUplink(make([]byte, 20000), nil)
+	b.SendUplink(make([]byte, 20000), nil, nil)
 	k.RunUntil(60 * time.Second)
 	r := Analyze(prof, m.Log(), 0, k.Now())
 	if r.TotalJ <= 0 {
@@ -128,7 +128,7 @@ func TestEndToEndEnergyFromSimulatedTraffic(t *testing.T) {
 	m2 := qxdm.Attach(b2)
 	for i := 0; i < 10; i++ {
 		off := simtime.Time(i) * 5 * time.Second
-		k2.At(off, func() { b2.SendUplink(make([]byte, 20000), nil) })
+		k2.At(off, func() { b2.SendUplink(make([]byte, 20000), nil, nil) })
 	}
 	k2.RunUntil(60 * time.Second)
 	r2 := Analyze(prof, m2.Log(), 0, k2.Now())

@@ -14,8 +14,8 @@ func fixture(t *testing.T, prof *radio.Profile, payloadBytes int) *Log {
 	k := simtime.NewKernel(42)
 	b := radio.NewBearer(k, prof)
 	m := Attach(b)
-	b.SendUplink(make([]byte, payloadBytes), nil)
-	b.SendDownlink(make([]byte, payloadBytes), nil)
+	b.SendUplink(make([]byte, payloadBytes), nil, nil)
+	b.SendDownlink(make([]byte, payloadBytes), nil, nil)
 	k.Run()
 	return m.Log()
 }
@@ -62,7 +62,7 @@ func TestCaptureLossRates(t *testing.T) {
 	b := radio.NewBearer(k, prof)
 	m := Attach(b)
 	for i := 0; i < 200; i++ {
-		b.SendDownlink(make([]byte, 4800), nil) // 10 PDUs each
+		b.SendDownlink(make([]byte, 4800), nil, nil) // 10 PDUs each
 	}
 	k.Run()
 	l := m.Log()
@@ -125,14 +125,14 @@ func TestSetEnabledAndReset(t *testing.T) {
 	k := simtime.NewKernel(1)
 	b := radio.NewBearer(k, prof)
 	m := Attach(b)
-	b.SendUplink(make([]byte, 1000), nil)
+	b.SendUplink(make([]byte, 1000), nil, nil)
 	k.Run()
 	if len(m.Log().PDUs) == 0 {
 		t.Fatal("nothing logged while enabled")
 	}
 	m.SetEnabled(false)
 	before := len(m.Log().PDUs)
-	b.SendUplink(make([]byte, 1000), nil)
+	b.SendUplink(make([]byte, 1000), nil, nil)
 	k.Run()
 	if len(m.Log().PDUs) != before {
 		t.Fatal("logged while disabled")
@@ -150,7 +150,7 @@ func TestPDURecordsPreserveLIAndPoll(t *testing.T) {
 	k := simtime.NewKernel(1)
 	b := radio.NewBearer(k, prof)
 	m := Attach(b)
-	b.SendUplink(make([]byte, 100), nil) // 3 PDUs: 40+40+20, LI on last
+	b.SendUplink(make([]byte, 100), nil, nil) // 3 PDUs: 40+40+20, LI on last
 	k.Run()
 	l := m.Log()
 	if len(l.PDUs) != 3 {

@@ -139,15 +139,17 @@ func (b *Bearer) SetPayloadRelease(fn func([]byte)) { b.payloadRelease = fn }
 func (b *Bearer) SetTrace(tr *obs.Trace) { b.tr = tr }
 
 // SendUplink transmits one IP packet from the device toward the network.
-// deliver fires when the packet has been fully reassembled at the base
-// station, in order.
-func (b *Bearer) SendUplink(packet []byte, deliver func()) {
-	b.ul.send(packet, deliver)
+// deliver(arg) fires when the packet has been fully reassembled at the base
+// station, in order. A caller binds deliver once and passes the packet as
+// arg, so a send allocates no closure; deliver may be nil.
+func (b *Bearer) SendUplink(packet []byte, deliver func(any), arg any) {
+	b.ul.send(packet, deliver, arg)
 }
 
-// SendDownlink transmits one IP packet from the network toward the device.
-func (b *Bearer) SendDownlink(packet []byte, deliver func()) {
-	b.dl.send(packet, deliver)
+// SendDownlink transmits one IP packet from the network toward the device,
+// with the same delivery contract as SendUplink.
+func (b *Bearer) SendDownlink(packet []byte, deliver func(any), arg any) {
+	b.dl.send(packet, deliver, arg)
 }
 
 // QueuedUplink reports bytes enqueued but not yet segmented on the uplink

@@ -15,7 +15,7 @@ func TestEmptyPacketDeliversNothing(t *testing.T) {
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	delivered := false
-	b.SendUplink(nil, func() { delivered = true })
+	b.SendUplink(nil, func(any) { delivered = true }, nil)
 	k.Run()
 	// Zero-byte SDUs occupy no stream bytes; their delivery callback still
 	// fires once the stream reaches their (zero-length) end offset.
@@ -35,8 +35,8 @@ func TestInterleavedDirectionsIndependent(t *testing.T) {
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	var ulAt, dlAt simtime.Time
-	b.SendUplink(make([]byte, 8000), func() { ulAt = k.Now() })
-	b.SendDownlink(make([]byte, 8000), func() { dlAt = k.Now() })
+	b.SendUplink(make([]byte, 8000), func(any) { ulAt = k.Now() }, nil)
+	b.SendDownlink(make([]byte, 8000), func(any) { dlAt = k.Now() }, nil)
 	k.Run()
 	if ulAt == 0 || dlAt == 0 {
 		t.Fatal("one direction starved")
@@ -56,7 +56,7 @@ func TestInterleavedDirectionsIndependent(t *testing.T) {
 func TestQueuedBytesAccounting(t *testing.T) {
 	k := simtime.NewKernel(3)
 	b := NewBearer(k, Profile3G())
-	b.SendUplink(make([]byte, 4000), nil)
+	b.SendUplink(make([]byte, 4000), nil, nil)
 	if q := b.QueuedUplink(); q != 4000 {
 		t.Fatalf("queued uplink = %d immediately after send", q)
 	}
@@ -73,12 +73,12 @@ func TestBurstAfterIdleRepaysPromotion(t *testing.T) {
 	k := simtime.NewKernel(4)
 	b := NewBearer(k, Profile3G())
 	var first, second simtime.Time
-	b.SendUplink(make([]byte, 400), func() { first = k.Now() })
+	b.SendUplink(make([]byte, 400), func(any) { first = k.Now() }, nil)
 	k.Run()
 	// Idle long enough to demote DCH -> FACH -> PCH (5s + 12s).
 	k.RunUntil(k.Now() + 30*time.Second)
 	start := k.Now()
-	b.SendUplink(make([]byte, 400), func() { second = k.Now() })
+	b.SendUplink(make([]byte, 400), func(any) { second = k.Now() }, nil)
 	k.Run()
 	if second-start < 2*time.Second {
 		t.Fatalf("second transfer after idle took %v, should repay the 2s PCH promotion",
@@ -95,7 +95,7 @@ func TestMultipleMonitorsAllNotified(t *testing.T) {
 	m1, m2 := &recordingMonitor{}, &recordingMonitor{}
 	b.Attach(m1)
 	b.Attach(m2)
-	b.SendUplink(make([]byte, 3000), nil)
+	b.SendUplink(make([]byte, 3000), nil, nil)
 	k.Run()
 	if len(m1.pdus) == 0 || len(m1.pdus) != len(m2.pdus) {
 		t.Fatalf("monitors diverge: %d vs %d", len(m1.pdus), len(m2.pdus))
@@ -109,7 +109,7 @@ func TestHighLossEventuallyDelivers(t *testing.T) {
 	b := NewBearer(k, p)
 	done := 0
 	for i := 0; i < 5; i++ {
-		b.SendUplink(make([]byte, 2000), func() { done++ })
+		b.SendUplink(make([]byte, 2000), func(any) { done++ }, nil)
 	}
 	k.Run()
 	if done != 5 {

@@ -34,7 +34,7 @@ func churnRun(t *testing.T, payload, periodMs int) (digests []string, sent, deli
 		b := bearers[i]
 		stops[i] = k.Ticker(time.Duration(periodMs)*time.Millisecond, func() {
 			sent[i]++
-			b.SendDownlink(pkt, func() { delivered[i]++ })
+			b.SendDownlink(pkt, func(any) { delivered[i]++ }, nil)
 		})
 	}
 

@@ -25,8 +25,8 @@ func driveBearer(k *simtime.Kernel, b *Bearer, count, size int) ([]string, int) 
 		payload[i] = byte(i)
 	}
 	for i := 0; i < count; i++ {
-		b.SendDownlink(payload, func() { delivered++ })
-		b.SendUplink(payload[:size/4], func() { delivered++ })
+		b.SendDownlink(payload, func(any) { delivered++ }, nil)
+		b.SendUplink(payload[:size/4], func(any) { delivered++ }, nil)
 	}
 	k.Run()
 	var keys []string
@@ -81,12 +81,12 @@ func TestCellSerializesContention(t *testing.T) {
 			b := NewBearer(k, ProfileLTE())
 			cell.Attach(b, 1)
 			for j := 0; j < 200; j++ {
-				b.SendDownlink(payload, func() {
+				b.SendDownlink(payload, func(any) {
 					done++
 					if k.Now() > last {
 						last = k.Now()
 					}
-				})
+				}, nil)
 			}
 		}
 		k.Run()
@@ -121,11 +121,11 @@ func TestCellRoundRobinFairness(t *testing.T) {
 		b.Attach(recs[i])
 		idx := i
 		for j := 0; j < 100; j++ {
-			b.SendDownlink(payload, func() {
+			b.SendDownlink(payload, func(any) {
 				if k.Now() > finish[idx] {
 					finish[idx] = k.Now()
 				}
-			})
+			}, nil)
 		}
 	}
 	k.Run()
@@ -155,11 +155,11 @@ func TestCellPropFairFavorsGoodChannel(t *testing.T) {
 		cell.Attach(b, gains[i])
 		idx := i
 		for j := 0; j < 100; j++ {
-			b.SendDownlink(payload, func() {
+			b.SendDownlink(payload, func(any) {
 				if k.Now() > finish[idx] {
 					finish[idx] = k.Now()
 				}
-			})
+			}, nil)
 		}
 	}
 	k.Run()
@@ -185,7 +185,7 @@ func TestCellDeterminism(t *testing.T) {
 			rec := &recordingMonitor{}
 			b.Attach(rec)
 			for j := 0; j < 50; j++ {
-				b.SendDownlink(payload, nil)
+				b.SendDownlink(payload, nil, nil)
 			}
 			defer func() {
 				for _, p := range rec.pdus {
@@ -220,8 +220,8 @@ func TestCellOutageReleasesChannel(t *testing.T) {
 	payload := make([]byte, 1400)
 	outDone, okDone := 0, 0
 	for j := 0; j < 50; j++ {
-		bOut.SendDownlink(payload, func() { outDone++ })
-		bOK.SendDownlink(payload, func() { okDone++ })
+		bOut.SendDownlink(payload, func(any) { outDone++ }, nil)
+		bOK.SendDownlink(payload, func(any) { okDone++ }, nil)
 	}
 	k.Run()
 	if okDone != 50 {

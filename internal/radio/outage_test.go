@@ -25,7 +25,7 @@ func TestOutageRecoversDelivery(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := simtime.Time(i) * simtime.Time(300*time.Millisecond)
 			k.At(at, func() {
-				b.SendUplink(make([]byte, 1400), func() { delivered++ })
+				b.SendUplink(make([]byte, 1400), func(any) { delivered++ }, nil)
 			})
 		}
 		k.Run()
@@ -56,7 +56,7 @@ func TestOutageDropsRRCToBase(t *testing.T) {
 	b := NewBearer(k, prof)
 
 	// Promote via traffic, then hit an outage while still high-power.
-	b.SendUplink(make([]byte, 100), nil)
+	b.SendUplink(make([]byte, 100), nil, nil)
 	b.ScheduleOutage(simtime.Time(3*time.Second), 500*time.Millisecond)
 	k.RunUntil(simtime.Time(3100 * time.Millisecond))
 	if got := b.RRC().State(); got != prof.Base {
@@ -82,7 +82,7 @@ func TestOutageDeterminism(t *testing.T) {
 		b.ScheduleOutage(simtime.Time(time.Second), time.Second)
 		for i := 0; i < 10; i++ {
 			at := simtime.Time(i) * simtime.Time(250*time.Millisecond)
-			k.At(at, func() { b.SendDownlink(make([]byte, 1400), nil) })
+			k.At(at, func() { b.SendDownlink(make([]byte, 1400), nil, nil) })
 		}
 		k.Run()
 		out := make([]simtime.Time, len(mon.pdus))

@@ -163,7 +163,7 @@ func TestBearerDeliversUplinkPacket(t *testing.T) {
 	k := simtime.NewKernel(1)
 	b := NewBearer(k, Profile3G())
 	pkt := bytes.Repeat([]byte{0xAB}, 1400)
-	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(pkt, cb) })
+	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(pkt, func(any) { cb() }, nil) })
 	// Must include the 2s PCH->DCH promotion.
 	if at < 2*time.Second {
 		t.Fatalf("delivered at %v, before promotion could finish", at)
@@ -182,7 +182,7 @@ func TestBearerSegmentation3GUplink(t *testing.T) {
 	for i := range pkt {
 		pkt[i] = byte(i)
 	}
-	b.SendUplink(pkt, nil)
+	b.SendUplink(pkt, nil, nil)
 	k.Run()
 	var data []*PDU
 	for _, p := range mon.pdus {
@@ -216,8 +216,8 @@ func TestPDUSpanningTwoSDUs(t *testing.T) {
 	b.Attach(mon)
 	// 50 bytes then 50 bytes: PDU#2 carries tail of pkt1 (10B) + head of
 	// pkt2 (30B); its LI must mark offset 10. This is exactly Fig. 5.
-	b.SendUplink(bytes.Repeat([]byte{0x11}, 50), nil)
-	b.SendUplink(bytes.Repeat([]byte{0x22}, 50), nil)
+	b.SendUplink(bytes.Repeat([]byte{0x11}, 50), nil, nil)
+	b.SendUplink(bytes.Repeat([]byte{0x22}, 50), nil, nil)
 	k.Run()
 	var data []*PDU
 	for _, p := range mon.pdus {
@@ -250,7 +250,7 @@ func TestInOrderDeliveryAcrossPackets(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		b.SendUplink(bytes.Repeat([]byte{byte(i)}, 300), func() { order = append(order, i) })
+		b.SendUplink(bytes.Repeat([]byte{byte(i)}, 300), func(any) { order = append(order, i) }, nil)
 	}
 	k.Run()
 	if len(order) != 20 {
@@ -271,7 +271,7 @@ func TestLossTriggersRetransmissionAndStatus(t *testing.T) {
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	delivered := false
-	b.SendUplink(make([]byte, 4000), func() { delivered = true })
+	b.SendUplink(make([]byte, 4000), func(any) { delivered = true }, nil)
 	k.Run()
 	if !delivered {
 		t.Fatal("packet not delivered despite ARQ")
@@ -304,7 +304,7 @@ func TestPollBitCadence(t *testing.T) {
 	b := NewBearer(k, p)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
-	b.SendUplink(make([]byte, 40*100), nil) // exactly 100 PDUs
+	b.SendUplink(make([]byte, 40*100), nil, nil) // exactly 100 PDUs
 	k.Run()
 	polls := 0
 	for _, pdu := range mon.pdus {
@@ -329,7 +329,7 @@ func TestLTEUsesFewerPDUsThan3G(t *testing.T) {
 		mon := &recordingMonitor{}
 		b.Attach(mon)
 		for i := 0; i < 100; i++ {
-			b.SendUplink(make([]byte, 1400), nil)
+			b.SendUplink(make([]byte, 1400), nil, nil)
 		}
 		k.Run()
 		return len(mon.pdus)
@@ -347,7 +347,7 @@ func TestDownlinkUsesFlexiblePayload(t *testing.T) {
 	b := NewBearer(k, Profile3G())
 	mon := &recordingMonitor{}
 	b.Attach(mon)
-	b.SendDownlink(make([]byte, 1400), nil)
+	b.SendDownlink(make([]byte, 1400), nil, nil)
 	k.Run()
 	if len(mon.pdus) == 0 {
 		t.Fatal("no downlink PDUs")
@@ -365,7 +365,7 @@ func TestDownlinkUsesFlexiblePayload(t *testing.T) {
 func TestWiFiNoPromotionDelay(t *testing.T) {
 	k := simtime.NewKernel(1)
 	b := NewBearer(k, ProfileWiFi())
-	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(make([]byte, 1400), cb) })
+	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(make([]byte, 1400), func(any) { cb() }, nil) })
 	if at > 50*time.Millisecond {
 		t.Fatalf("WiFi delivery took %v, want < 50ms", at)
 	}
@@ -376,7 +376,7 @@ func TestSimplified3GPromotesFaster(t *testing.T) {
 		k := simtime.NewKernel(1)
 		b := NewBearer(k, prof)
 		var at simtime.Time
-		b.SendUplink(make([]byte, 400), func() { at = k.Now() })
+		b.SendUplink(make([]byte, 400), func(any) { at = k.Now() }, nil)
 		k.Run()
 		return at
 	}
@@ -402,7 +402,7 @@ func TestQuickSegmentationConservesBytes(t *testing.T) {
 		for _, s := range sizes {
 			n := int(s%2000) + 1
 			total += n
-			b.SendUplink(make([]byte, n), func() { delivered++ })
+			b.SendUplink(make([]byte, n), func(any) { delivered++ }, nil)
 		}
 		k.Run()
 		sum, lis := 0, 0
@@ -429,7 +429,7 @@ func TestQuickInOrderUnderLoss(t *testing.T) {
 		var order []int
 		for i := 0; i < count; i++ {
 			i := i
-			b.SendDownlink(make([]byte, 2000), func() { order = append(order, i) })
+			b.SendDownlink(make([]byte, 2000), func(any) { order = append(order, i) }, nil)
 		}
 		k.Run()
 		if len(order) != count {
@@ -453,7 +453,7 @@ func TestTransitionLogDuringTransfer(t *testing.T) {
 	b := NewBearer(k, ProfileLTE())
 	mon := &recordingMonitor{}
 	b.Attach(mon)
-	b.SendUplink(make([]byte, 1400), nil)
+	b.SendUplink(make([]byte, 1400), nil, nil)
 	k.Run()
 	if len(mon.transitions) == 0 {
 		t.Fatal("no RRC transitions recorded")

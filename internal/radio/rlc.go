@@ -70,12 +70,49 @@ type Monitor interface {
 	StatusPDU(StatusPDU)
 }
 
-// sdu is one upper-layer packet queued for RLC transmission.
+// sdu is one upper-layer packet queued for RLC transmission. An entity
+// holds each SDU by value twice: once in its segmentation queue (bytes,
+// size, end) and once in its delivery queue (end, deliver, arg).
 type sdu struct {
-	bytes   []byte // payload to segment; released after segmentation
-	size    int
-	end     uint64 // absolute stream offset at which this SDU ends
-	deliver func() // invoked when the far side has reassembled the SDU in order
+	bytes []byte // payload to segment; released after segmentation
+	size  int
+	end   uint64 // absolute stream offset at which this SDU ends
+	// deliver(arg) fires when the far side has reassembled the SDU in
+	// order.
+	deliver func(any)
+	arg     any
+}
+
+// sduFIFO is a queue of SDUs held by value in a ring that keeps its backing
+// array, so a steady stream of sends allocates nothing.
+type sduFIFO struct {
+	ring []sdu // len(ring) is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *sduFIFO) len() int { return q.n }
+
+// front returns the oldest SDU; the queue must not be empty.
+func (q *sduFIFO) front() *sdu { return &q.ring[q.head] }
+
+func (q *sduFIFO) push(s sdu) {
+	if q.n == len(q.ring) {
+		grown := make([]sdu, max(8, 2*len(q.ring)))
+		n := copy(grown, q.ring[q.head:])
+		copy(grown[n:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = s
+	q.n++
+}
+
+// pop drops the oldest SDU and clears its slot, so the ring keeps no
+// payload or callback argument alive.
+func (q *sduFIFO) pop() {
+	q.ring[q.head] = sdu{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 }
 
 // entity is one direction's RLC acknowledged-mode entity: segmentation on
@@ -108,15 +145,16 @@ type entity struct {
 	txNextFn  func()
 	startFn   func()
 	statusFn  func()
+	receiveFn func(any) // receive(arg.(*PDU))
 	// ewmaBps and ewmaAt are the proportional-fair scheduler's served-rate
 	// average (lazily decayed at ewmaAt).
 	ewmaBps float64
 	ewmaAt  simtime.Time
 
 	// Sender state.
-	queue     []*sdu // SDUs not yet fully segmented
-	queuedOff uint64 // stream offset covered by queue (total enqueued)
-	segOff    uint64 // stream offset segmented into PDUs so far
+	queue     sduFIFO // SDUs not yet fully segmented
+	queuedOff uint64  // stream offset covered by queue (total enqueued)
+	segOff    uint64  // stream offset segmented into PDUs so far
 	nextSeq   uint32
 	sincePoll int
 	sending   bool
@@ -129,8 +167,8 @@ type entity struct {
 	recvSeq    uint32          // next in-order sequence number expected
 	heldPDUs   map[uint32]bool // received out of order (ahead of a loss)
 	heldSize   map[uint32]int
-	delivered  uint64 // in-order payload bytes delivered to the far side
-	pendingSDU []*sdu // SDUs awaiting delivery, ordered by end offset
+	delivered  uint64  // in-order payload bytes delivered to the far side
+	pendingSDU sduFIFO // SDUs awaiting delivery, ordered by end offset
 }
 
 func newEntity(b *Bearer, dir Direction) *entity {
@@ -160,27 +198,26 @@ func newEntity(b *Bearer, dir Direction) *entity {
 	e.txNextFn = e.txNext
 	e.startFn = e.start
 	e.statusFn = e.statusArrived
+	e.receiveFn = func(p any) { e.receive(p.(*PDU)) }
 	return e
 }
 
-// send enqueues an upper-layer packet for transmission. deliver is invoked
-// (in virtual time) when the SDU has been reassembled in order at the far
-// side.
-func (e *entity) send(payload []byte, deliver func()) {
+// send enqueues an upper-layer packet for transmission. deliver(arg) is
+// invoked (in virtual time) when the SDU has been reassembled in order at
+// the far side.
+func (e *entity) send(payload []byte, deliver func(any), arg any) {
 	if len(payload) == 0 {
 		// A zero-byte SDU occupies no stream bytes and would never be
 		// covered by the receiver's delivered counter; complete it
 		// immediately (real stacks never emit empty PDUs either).
 		if deliver != nil {
-			e.b.k.After(0, deliver)
+			e.b.k.AfterWith(0, deliver, arg)
 		}
 		return
 	}
-	s := &sdu{bytes: payload, size: len(payload), deliver: deliver}
-	e.queuedOff += uint64(s.size)
-	s.end = e.queuedOff
-	e.queue = append(e.queue, s)
-	e.pendingSDU = append(e.pendingSDU, s)
+	e.queuedOff += uint64(len(payload))
+	e.queue.push(sdu{bytes: payload, size: len(payload), end: e.queuedOff})
+	e.pendingSDU.push(sdu{end: e.queuedOff, deliver: deliver, arg: arg})
 	e.kick()
 }
 
@@ -254,8 +291,8 @@ func (e *entity) buildPDU() *PDU {
 	e.nextSeq++
 	want := e.payloadSize
 	// Walk the SDU queue copying sizes (and the first two bytes).
-	for want > 0 && len(e.queue) > 0 {
-		s := e.queue[0]
+	for want > 0 && e.queue.len() > 0 {
+		s := e.queue.front()
 		sduStart := s.end - uint64(s.size)
 		offInSDU := int(e.segOff - sduStart) // bytes of s already segmented
 		avail := s.size - offInSDU
@@ -277,8 +314,7 @@ func (e *entity) buildPDU() *PDU {
 			if rel := e.b.payloadRelease; rel != nil && s.bytes != nil {
 				rel(s.bytes)
 			}
-			s.bytes = nil
-			e.queue = e.queue[1:]
+			e.queue.pop()
 		}
 	}
 	return p
@@ -394,7 +430,7 @@ func (e *entity) pduSent(p *PDU) {
 	} else {
 		// Arrives at the receiver after the one-way air latency.
 		oneWay := e.b.prof.OTARTT / 2
-		k.After(oneWay, func() { e.receive(p) })
+		k.AfterWith(oneWay, e.receiveFn, p)
 	}
 
 	if p.Poll {
@@ -520,15 +556,13 @@ func (e *entity) receive(p *PDU) {
 	}
 	// Deliver every SDU whose end offset is now covered.
 	now := e.b.k.Now()
-	for len(e.pendingSDU) > 0 && e.pendingSDU[0].end <= e.delivered {
-		s := e.pendingSDU[0]
-		e.pendingSDU = e.pendingSDU[1:]
-		if s.deliver != nil {
+	for e.pendingSDU.len() > 0 && e.pendingSDU.front().end <= e.delivered {
+		if s := e.pendingSDU.front(); s.deliver != nil {
 			// Deliver via a zero-delay event to keep callback reentrancy
 			// out of the RLC state machine.
-			deliver := s.deliver
-			e.b.k.At(now, func() { deliver() })
+			e.b.k.AtWith(now, s.deliver, s.arg)
 		}
+		e.pendingSDU.pop()
 	}
 }
 

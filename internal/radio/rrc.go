@@ -117,7 +117,11 @@ type Machine struct {
 	demoteScale float64
 	transitions int
 
+	// demoteEv is the pending demotion step, which moves the machine to
+	// demoteTo when it fires; demoteFn is its callback, bound once.
 	demoteEv  simtime.Event
+	demoteTo  State
+	demoteFn  func()
 	listeners []func(Transition)
 }
 
@@ -127,7 +131,9 @@ func NewMachine(k *simtime.Kernel, prof *Profile) *Machine {
 	if err := prof.Validate(); err != nil {
 		panic("radio: invalid profile: " + err.Error())
 	}
-	return &Machine{k: k, prof: prof, state: prof.Base}
+	m := &Machine{k: k, prof: prof, state: prof.Base}
+	m.demoteFn = m.demote
+	return m
 }
 
 // Profile returns the machine's radio profile.
@@ -219,18 +225,22 @@ func (m *Machine) armDemotion() {
 func (m *Machine) scheduleNextDemotion() {
 	for _, d := range m.prof.Demotions {
 		if d.From == m.state {
-			step := d
+			timer := d.Timer
 			if m.demoteScale > 0 && m.demoteScale != 1 {
-				step.Timer = time.Duration(float64(step.Timer) * m.demoteScale)
+				timer = time.Duration(float64(timer) * m.demoteScale)
 			}
-			m.demoteEv = m.k.After(step.Timer, func() {
-				m.demoteEv = simtime.Event{}
-				m.transition(step.To, false)
-				m.scheduleNextDemotion()
-			})
+			m.demoteTo = d.To
+			m.demoteEv = m.k.After(timer, m.demoteFn)
 			return
 		}
 	}
+}
+
+// demote fires the pending demotion step and arms the next one.
+func (m *Machine) demote() {
+	m.demoteEv = simtime.Event{}
+	m.transition(m.demoteTo, false)
+	m.scheduleNextDemotion()
 }
 
 // Params returns the StateParams of the current state.

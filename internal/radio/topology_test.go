@@ -113,7 +113,7 @@ func roam(t *testing.T, traffic bool) (*Roamer, *hoMonitor, int) {
 	if traffic {
 		payload := make([]byte, 1200)
 		stop := k.Ticker(40*time.Millisecond, func() {
-			b.SendDownlink(payload, func() { delivered++ })
+			b.SendDownlink(payload, func(any) { delivered++ }, nil)
 		})
 		defer stop()
 	}
