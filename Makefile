@@ -23,9 +23,11 @@ test-short: build
 # golden runs under it). The suite also checks every pinned output digest:
 # the fleet goldens (internal/fleet/testdata) and the whole experiment
 # registry (internal/experiments/testdata). It runs every example once
-# (about 2 s together with a warm build cache), then ends with a 10 s fuzz
-# of the message framing, a vet of the benchmark module (its own module,
-# so the root vet stops short of it) and the benchmark's ~10 s smoke test.
+# (about 2 s together with a warm build cache), then ends with 10 s fuzzes
+# of the message framing and the two capture readers (QxDM logs and pcap
+# files, each through the analyses traceview runs on it), a vet of the
+# benchmark module (its own module, so the root vet stops short of it) and
+# the benchmark's ~10 s smoke test.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -36,6 +38,8 @@ verify: build
 	$(MAKE) sharded-golden
 	@set -e; for ex in examples/*/; do echo "$(GO) run ./$$ex"; $(GO) run ./$$ex > /dev/null; done
 	$(GO) test -run '^$$' -fuzz FuzzMsgConnFeed -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzQxDMLog -fuzztime 10s ./internal/qxdm/
+	$(GO) test -run '^$$' -fuzz FuzzPcapFile -fuzztime 10s ./internal/pcap/
 	cd bench && $(GO) vet . && $(GO) test .
 
 # The sharded fleet's determinism contract, pinned at both extremes of
