@@ -156,19 +156,20 @@ func (n *Network) uplink(p *Packet) {
 	n.Bearer.SendUplink(n.marshalWire(p), n.ulQdiscFn, p)
 }
 
-// ulQdisc: the packet has reached the base station.
+// ulQdisc passes a packet the bearer reassembled at the base station to the
+// uplink qdisc.
 func (n *Network) ulQdisc(arg any) {
 	p := arg.(*Packet)
 	n.ULQdisc.Enqueue(p.WireLen(), n.ulCoreFn, p, nil)
 }
 
-// ulCore: the packet has left the uplink qdisc for the core.
+// ulCore sends a packet that left the uplink qdisc across the core.
 func (n *Network) ulCore(arg any) {
 	p := arg.(*Packet)
 	n.k.AfterWith(n.pathDelay(p.Dst.Addr), n.toServerFn, p)
 }
 
-// toServer: the packet has crossed the core to its destination server.
+// toServer hands a packet that crossed the core to its destination server.
 func (n *Network) toServer(arg any) {
 	p := arg.(*Packet)
 	if srv, ok := n.servers[p.Dst.Addr]; ok {
@@ -188,19 +189,20 @@ func (n *Network) fromServer(from *Stack, p *Packet) {
 	}
 }
 
-// dlQdisc: the packet has crossed the core to the base station.
+// dlQdisc passes a server packet that crossed the core to the downlink
+// qdisc.
 func (n *Network) dlQdisc(arg any) {
 	p := arg.(*Packet)
 	n.DLQdisc.Enqueue(p.WireLen(), n.dlBearerFn, p, nil)
 }
 
-// dlBearer: the packet has left the downlink qdisc. It is marshaled here,
-// after the qdisc, because a duplicating fault stage forwards twice and
-// each copy needs a wire buffer of its own.
+// dlBearer marshals a packet that left the downlink qdisc and sends it over
+// the bearer. It marshals here, after the qdisc, because a duplicating fault
+// stage forwards twice and each copy needs a wire buffer of its own.
 func (n *Network) dlBearer(arg any) {
 	p := arg.(*Packet)
 	n.Bearer.SendDownlink(n.marshalWire(p), n.toDeviceFn, p)
 }
 
-// toDevice: the bearer has reassembled the packet at the device.
+// toDevice hands a packet the bearer reassembled at the device to its stack.
 func (n *Network) toDevice(arg any) { n.Device.Input(arg.(*Packet)) }

@@ -472,20 +472,22 @@ func (k *Kernel) step() bool {
 		}
 		site := k.siteName(cb)
 		t0 := time.Now()
-		if fn != nil {
-			fn()
-		} else {
-			fnArg(arg)
-		}
+		fire(fn, fnArg, arg)
 		k.prof.Observe(site, time.Since(t0))
 		return true
 	}
+	fire(fn, fnArg, arg)
+	return true
+}
+
+// fire runs an event's callback: fn for an At event, fnArg(arg) for an
+// AtWith event.
+func fire(fn func(), fnArg func(any), arg any) {
 	if fn != nil {
 		fn()
-	} else {
-		fnArg(arg)
+		return
 	}
-	return true
+	fnArg(arg)
 }
 
 // Run executes events until the queue drains or Stop is called.
