@@ -70,47 +70,53 @@ type Monitor interface {
 	StatusPDU(StatusPDU)
 }
 
-// sdu is one upper-layer packet queued for RLC transmission. An entity
-// holds each SDU by value twice: once in its segmentation queue (bytes,
-// size, end) and once in its delivery queue (end, deliver, arg).
-type sdu struct {
-	bytes []byte // payload to segment; released after segmentation
-	size  int
+// An upper-layer packet (SDU) queued for RLC transmission sits in two
+// queues of its entity, by value: segmentation keeps its payload until the
+// last byte is in a PDU, and delivery keeps its callback until the far side
+// has reassembled it in order.
+
+// sduSeg is an SDU awaiting segmentation.
+type sduSeg struct {
+	bytes []byte // payload; released once fully segmented
 	end   uint64 // absolute stream offset at which this SDU ends
-	// deliver(arg) fires when the far side has reassembled the SDU in
-	// order.
-	deliver func(any)
+}
+
+// sduDelivery is an SDU awaiting in-order reassembly at the far side.
+type sduDelivery struct {
+	end     uint64
+	deliver func(any) // fired as deliver(arg)
 	arg     any
 }
 
-// sduFIFO is a queue of SDUs held by value in a ring that keeps its backing
-// array, so a steady stream of sends allocates nothing.
-type sduFIFO struct {
-	ring []sdu // len(ring) is zero or a power of two
+// fifo is a queue held by value in a ring that keeps its backing array, so
+// a steady stream of pushes allocates nothing.
+type fifo[T any] struct {
+	ring []T // len(ring) is zero or a power of two
 	head int
 	n    int
 }
 
-func (q *sduFIFO) len() int { return q.n }
+func (q *fifo[T]) len() int { return q.n }
 
-// front returns the oldest SDU; the queue must not be empty.
-func (q *sduFIFO) front() *sdu { return &q.ring[q.head] }
+// front returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) front() *T { return &q.ring[q.head] }
 
-func (q *sduFIFO) push(s sdu) {
+func (q *fifo[T]) push(v T) {
 	if q.n == len(q.ring) {
-		grown := make([]sdu, max(8, 2*len(q.ring)))
+		grown := make([]T, max(8, 2*len(q.ring)))
 		n := copy(grown, q.ring[q.head:])
 		copy(grown[n:], q.ring[:q.head])
 		q.ring, q.head = grown, 0
 	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = s
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = v
 	q.n++
 }
 
-// pop drops the oldest SDU and clears its slot, so the ring keeps no
+// pop drops the oldest item and clears its slot, so the ring keeps no
 // payload or callback argument alive.
-func (q *sduFIFO) pop() {
-	q.ring[q.head] = sdu{}
+func (q *fifo[T]) pop() {
+	var zero T
+	q.ring[q.head] = zero
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--
 }
@@ -152,9 +158,9 @@ type entity struct {
 	ewmaAt  simtime.Time
 
 	// Sender state.
-	queue     sduFIFO // SDUs not yet fully segmented
-	queuedOff uint64  // stream offset covered by queue (total enqueued)
-	segOff    uint64  // stream offset segmented into PDUs so far
+	queue     fifo[sduSeg] // SDUs not yet fully segmented
+	queuedOff uint64       // stream offset covered by queue (total enqueued)
+	segOff    uint64       // stream offset segmented into PDUs so far
 	nextSeq   uint32
 	sincePoll int
 	sending   bool
@@ -167,8 +173,8 @@ type entity struct {
 	recvSeq    uint32          // next in-order sequence number expected
 	heldPDUs   map[uint32]bool // received out of order (ahead of a loss)
 	heldSize   map[uint32]int
-	delivered  uint64  // in-order payload bytes delivered to the far side
-	pendingSDU sduFIFO // SDUs awaiting delivery, ordered by end offset
+	delivered  uint64            // in-order payload bytes delivered to the far side
+	pendingSDU fifo[sduDelivery] // SDUs awaiting delivery, ordered by end offset
 }
 
 func newEntity(b *Bearer, dir Direction) *entity {
@@ -216,8 +222,8 @@ func (e *entity) send(payload []byte, deliver func(any), arg any) {
 		return
 	}
 	e.queuedOff += uint64(len(payload))
-	e.queue.push(sdu{bytes: payload, size: len(payload), end: e.queuedOff})
-	e.pendingSDU.push(sdu{end: e.queuedOff, deliver: deliver, arg: arg})
+	e.queue.push(sduSeg{bytes: payload, end: e.queuedOff})
+	e.pendingSDU.push(sduDelivery{end: e.queuedOff, deliver: deliver, arg: arg})
 	e.kick()
 }
 
@@ -293,14 +299,14 @@ func (e *entity) buildPDU() *PDU {
 	// Walk the SDU queue copying sizes (and the first two bytes).
 	for want > 0 && e.queue.len() > 0 {
 		s := e.queue.front()
-		sduStart := s.end - uint64(s.size)
+		sduStart := s.end - uint64(len(s.bytes))
 		offInSDU := int(e.segOff - sduStart) // bytes of s already segmented
-		avail := s.size - offInSDU
+		avail := len(s.bytes) - offInSDU
 		take := avail
 		if take > want {
 			take = want
 		}
-		if p.Size < 2 && s.bytes != nil {
+		if p.Size < 2 {
 			for i := 0; i < take && p.Size+i < 2; i++ {
 				p.Head[p.Size+i] = s.bytes[offInSDU+i]
 			}
@@ -311,7 +317,7 @@ func (e *entity) buildPDU() *PDU {
 		if e.segOff == s.end {
 			p.LI = append(p.LI, p.Size) // SDU ends inside (or at end of) this PDU
 			// Payload no longer needed: release it for reuse.
-			if rel := e.b.payloadRelease; rel != nil && s.bytes != nil {
+			if rel := e.b.payloadRelease; rel != nil {
 				rel(s.bytes)
 			}
 			e.queue.pop()
