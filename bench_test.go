@@ -287,7 +287,7 @@ func BenchmarkRLCSegmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := simtime.NewKernel(benchSeed)
 		prof := radio.Profile3G()
-		bearer := radio.NewBearer(k, prof)
+		bearer := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 		for j := 0; j < 700; j++ { // ~1MB in 1400B packets
 			bearer.SendUplink(make([]byte, 1400), nil, nil)
 		}

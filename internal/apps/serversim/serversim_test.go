@@ -75,7 +75,7 @@ func TestVideoCatalogProperties(t *testing.T) {
 
 func TestClusterInstallServesDNS(t *testing.T) {
 	k := simtime.NewKernel(1)
-	n := netsim.NewNetwork(k, radio.ProfileWiFi(), netip.MustParseAddr("10.20.0.2"), 5*time.Millisecond)
+	n := netsim.NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.ProfileWiFi(), 1), netip.MustParseAddr("10.20.0.2"), 5*time.Millisecond)
 	c := Install(n)
 	if c.Facebook == nil || c.YouTube == nil || c.Web == nil || c.DNS == nil {
 		t.Fatal("cluster incomplete")

@@ -54,13 +54,14 @@ type Network struct {
 	reg *obs.Registry
 }
 
-// NewNetwork builds a network with a device at deviceAddr behind a bearer
-// using prof.
-func NewNetwork(k *simtime.Kernel, prof *radio.Profile, deviceAddr netip.Addr, coreDelay time.Duration) *Network {
+// NewNetwork builds a network with a device at deviceAddr behind bearer b,
+// driven by the bearer's kernel.
+func NewNetwork(b *radio.Bearer, deviceAddr netip.Addr, coreDelay time.Duration) *Network {
+	k := b.Kernel()
 	n := &Network{
 		k:         k,
 		Device:    NewStack(k, deviceAddr),
-		Bearer:    radio.NewBearer(k, prof),
+		Bearer:    b,
 		CoreDelay: coreDelay,
 		ULQdisc:   PassQdisc{},
 		DLQdisc:   PassQdisc{},

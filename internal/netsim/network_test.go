@@ -18,7 +18,7 @@ var (
 
 func lteNet(seed int64) (*simtime.Kernel, *Network) {
 	k := simtime.NewKernel(seed)
-	n := NewNetwork(k, radio.ProfileLTE(), deviceAddr, 20*time.Millisecond)
+	n := NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.ProfileLTE(), 1), deviceAddr, 20*time.Millisecond)
 	return k, n
 }
 
@@ -61,7 +61,7 @@ func TestNetworkIncludesPromotionDelay(t *testing.T) {
 func TestNetwork3GSlowerThanLTE(t *testing.T) {
 	transfer := func(prof *radio.Profile) simtime.Time {
 		k := simtime.NewKernel(3)
-		n := NewNetwork(k, prof, deviceAddr, 20*time.Millisecond)
+		n := NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1), deviceAddr, 20*time.Millisecond)
 		srv := n.MustAddServer(serverAddr)
 		var doneAt simtime.Time
 		total := 0
@@ -204,7 +204,7 @@ func TestShaperTailDrop(t *testing.T) {
 func TestThrottledDownlinkSlowsTransfer(t *testing.T) {
 	run := func(throttle bool) simtime.Time {
 		k := simtime.NewKernel(10)
-		n := NewNetwork(k, radio.ProfileLTE(), deviceAddr, 20*time.Millisecond)
+		n := NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.ProfileLTE(), 1), deviceAddr, 20*time.Millisecond)
 		if throttle {
 			n.DLQdisc = NewPolicer(k, 245e3, 32_000)
 		}

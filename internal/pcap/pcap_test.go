@@ -15,7 +15,7 @@ import (
 func capFixture(t *testing.T) *Capture {
 	t.Helper()
 	k := simtime.NewKernel(1)
-	n := netsim.NewNetwork(k, radio.ProfileWiFi(), netip.MustParseAddr("10.0.0.2"), 5*time.Millisecond)
+	n := netsim.NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.ProfileWiFi(), 1), netip.MustParseAddr("10.0.0.2"), 5*time.Millisecond)
 	c := NewCapture()
 	c.Attach(n.Device)
 	srv := n.MustAddServer(netip.MustParseAddr("93.184.216.34"))
@@ -134,7 +134,7 @@ func TestSetEnabledPausesCapture(t *testing.T) {
 
 func TestDNSDecodeFromCapture(t *testing.T) {
 	k := simtime.NewKernel(3)
-	n := netsim.NewNetwork(k, radio.ProfileWiFi(), netip.MustParseAddr("10.0.0.2"), 5*time.Millisecond)
+	n := netsim.NewNetwork(radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.ProfileWiFi(), 1), netip.MustParseAddr("10.0.0.2"), 5*time.Millisecond)
 	c := NewCapture()
 	c.Attach(n.Device)
 	dnsAddr := netip.MustParseAddr("8.8.8.8")

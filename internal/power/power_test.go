@@ -106,7 +106,7 @@ func TestEmptyWindow(t *testing.T) {
 func TestEndToEndEnergyFromSimulatedTraffic(t *testing.T) {
 	prof := radio.ProfileLTE()
 	k := simtime.NewKernel(5)
-	b := radio.NewBearer(k, prof)
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 	m := qxdm.Attach(b)
 	b.SendUplink(make([]byte, 20000), nil, nil)
 	k.RunUntil(60 * time.Second)
@@ -124,7 +124,7 @@ func TestEndToEndEnergyFromSimulatedTraffic(t *testing.T) {
 	}
 	// More traffic => more energy.
 	k2 := simtime.NewKernel(5)
-	b2 := radio.NewBearer(k2, prof)
+	b2 := radio.NewBearer(radio.NewCell(k2, radio.SchedRoundRobin, 0), prof, 1)
 	m2 := qxdm.Attach(b2)
 	for i := 0; i < 10; i++ {
 		off := simtime.Time(i) * 5 * time.Second

@@ -23,7 +23,7 @@ import (
 // stay fixed across fuzz inputs; the valid seed input is that log.
 func fuzzPackets() (ul, dl []analyzer.MappedPacket, log *qxdm.Log) {
 	k := simtime.NewKernel(3)
-	b := radio.NewBearer(k, radio.Profile3G())
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), radio.Profile3G(), 1)
 	mon := qxdm.Attach(b)
 	dev := netsim.Endpoint{Addr: netip.MustParseAddr("10.0.0.2"), Port: 40000}
 	srv := netsim.Endpoint{Addr: netip.MustParseAddr("93.184.216.34"), Port: 80}

@@ -12,7 +12,7 @@ import (
 func fixture(t *testing.T, prof *radio.Profile, payloadBytes int) *Log {
 	t.Helper()
 	k := simtime.NewKernel(42)
-	b := radio.NewBearer(k, prof)
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 	m := Attach(b)
 	b.SendUplink(make([]byte, payloadBytes), nil, nil)
 	b.SendDownlink(make([]byte, payloadBytes), nil, nil)
@@ -59,7 +59,7 @@ func TestCaptureLossRates(t *testing.T) {
 	prof.CaptureLossDL = 0.10
 	prof.CaptureLossUL = 0
 	k := simtime.NewKernel(7)
-	b := radio.NewBearer(k, prof)
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 	m := Attach(b)
 	for i := 0; i < 200; i++ {
 		b.SendDownlink(make([]byte, 4800), nil, nil) // 10 PDUs each
@@ -123,7 +123,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestSetEnabledAndReset(t *testing.T) {
 	prof := radio.ProfileWiFi()
 	k := simtime.NewKernel(1)
-	b := radio.NewBearer(k, prof)
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 	m := Attach(b)
 	b.SendUplink(make([]byte, 1000), nil, nil)
 	k.Run()
@@ -148,7 +148,7 @@ func TestPDURecordsPreserveLIAndPoll(t *testing.T) {
 	prof.PDULossProb = 0
 	prof.CaptureLossUL = 0
 	k := simtime.NewKernel(1)
-	b := radio.NewBearer(k, prof)
+	b := radio.NewBearer(radio.NewCell(k, radio.SchedRoundRobin, 0), prof, 1)
 	m := Attach(b)
 	b.SendUplink(make([]byte, 100), nil, nil) // 3 PDUs: 40+40+20, LI on last
 	k.Run()

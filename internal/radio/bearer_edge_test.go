@@ -11,7 +11,7 @@ import (
 
 func TestEmptyPacketDeliversNothing(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, ProfileWiFi())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), ProfileWiFi(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	delivered := false
@@ -31,7 +31,7 @@ func TestEmptyPacketDeliversNothing(t *testing.T) {
 
 func TestInterleavedDirectionsIndependent(t *testing.T) {
 	k := simtime.NewKernel(2)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	var ulAt, dlAt simtime.Time
@@ -55,7 +55,7 @@ func TestInterleavedDirectionsIndependent(t *testing.T) {
 
 func TestQueuedBytesAccounting(t *testing.T) {
 	k := simtime.NewKernel(3)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	b.SendUplink(make([]byte, 4000), nil, nil)
 	if q := b.QueuedUplink(); q != 4000 {
 		t.Fatalf("queued uplink = %d immediately after send", q)
@@ -71,7 +71,7 @@ func TestQueuedBytesAccounting(t *testing.T) {
 
 func TestBurstAfterIdleRepaysPromotion(t *testing.T) {
 	k := simtime.NewKernel(4)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	var first, second simtime.Time
 	b.SendUplink(make([]byte, 400), func(any) { first = k.Now() }, nil)
 	k.Run()
@@ -91,7 +91,7 @@ func TestBurstAfterIdleRepaysPromotion(t *testing.T) {
 
 func TestMultipleMonitorsAllNotified(t *testing.T) {
 	k := simtime.NewKernel(5)
-	b := NewBearer(k, ProfileWiFi())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), ProfileWiFi(), 1)
 	m1, m2 := &recordingMonitor{}, &recordingMonitor{}
 	b.Attach(m1)
 	b.Attach(m2)
@@ -106,7 +106,7 @@ func TestHighLossEventuallyDelivers(t *testing.T) {
 	k := simtime.NewKernel(6)
 	p := Profile3G()
 	p.PDULossProb = 0.3 // brutal air interface
-	b := NewBearer(k, p)
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 	done := 0
 	for i := 0; i < 5; i++ {
 		b.SendUplink(make([]byte, 2000), func(any) { done++ }, nil)

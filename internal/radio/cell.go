@@ -68,8 +68,9 @@ const pfTau = 500 * time.Millisecond
 // one air-interface channel that serves a single PDU at a time, so when N
 // devices are active their RLC transmissions serialize and cross-UE
 // contention, queueing delay, and RRC promotion storms emerge naturally
-// instead of being modeled. A cell with one attached bearer is
-// event-for-event identical to a standalone bearer.
+// instead of being modeled. Every bearer is built on its cell (NewBearer)
+// and leaves it only for the interruption window of a handover, so every
+// PDU reaches the air through a cell's scheduler.
 //
 // The cell performs no randomization of its own: scheduling decisions are a
 // pure function of bearer state and attach order, so fleet runs stay
@@ -79,21 +80,15 @@ type Cell struct {
 	policy SchedPolicy
 	ul, dl cellChannel
 	id     int
-	n      int
 	// attachSeq numbers attachments monotonically so proportional-fair
 	// tie-breaks stay unique and deterministic across detach/re-attach
-	// churn (n alone would recycle indices).
+	// churn.
 	attachSeq int
 }
 
-// NewCell creates a cell driven by kernel k.
-func NewCell(k *simtime.Kernel, policy SchedPolicy) *Cell {
-	return NewCellID(k, policy, 0)
-}
-
-// NewCellID creates a cell with an explicit topology cell ID, used by
-// multi-cell fleets to label reports and handover events.
-func NewCellID(k *simtime.Kernel, policy SchedPolicy, id int) *Cell {
+// NewCell creates a cell driven by kernel k. id is the cell's topology ID,
+// which labels reports and handover events (0 in a one-cell fleet).
+func NewCell(k *simtime.Kernel, policy SchedPolicy, id int) *Cell {
 	c := &Cell{k: k, policy: policy, id: id}
 	c.ul = cellChannel{cell: c, dir: Uplink, share: 1}
 	c.dl = cellChannel{cell: c, dir: Downlink, share: 1}
@@ -104,23 +99,17 @@ func NewCellID(k *simtime.Kernel, policy SchedPolicy, id int) *Cell {
 	return c
 }
 
-// ID returns the cell's topology ID (0 for standalone cells).
+// ID returns the cell's topology ID.
 func (c *Cell) ID() int { return c.id }
 
 // Policy returns the cell's scheduling policy.
 func (c *Cell) Policy() SchedPolicy { return c.policy }
 
-// Bearers returns the number of attached bearers.
-func (c *Cell) Bearers() int { return c.n }
-
-// Attach puts a bearer's RLC entities under this cell's schedulers. gain is
-// the bearer's link-quality multiplier on its data-plane bandwidth (1 = the
-// profile's nominal rate); values <= 0 default to 1. Attach must happen
-// before traffic flows and a bearer can be attached to at most one cell.
-func (c *Cell) Attach(b *Bearer, gain float64) {
-	if b.cell != nil {
-		panic("radio: bearer already attached to a cell")
-	}
+// attach puts a detached bearer's RLC entities under this cell's
+// schedulers. gain is the bearer's link-quality multiplier on its
+// data-plane bandwidth (1 = the profile's nominal rate); values <= 0
+// default to 1.
+func (c *Cell) attach(b *Bearer, gain float64) {
 	if gain <= 0 {
 		gain = 1
 	}
@@ -131,22 +120,18 @@ func (c *Cell) Attach(b *Bearer, gain float64) {
 	b.ul.cellIdx = c.attachSeq
 	b.dl.cellIdx = c.attachSeq
 	c.attachSeq++
-	c.n++
 	// A freshly attached bearer starts with no served-rate history on this
 	// cell: a handed-over UE competes like a newcomer.
 	b.ul.ewmaBps, b.ul.ewmaAt = 0, 0
 	b.dl.ewmaBps, b.dl.ewmaAt = 0, 0
 }
 
-// Detach removes a bearer from this cell's schedulers — the handover
+// detach removes a bearer from this cell's schedulers — the handover
 // primitive. Any PDU already on the air completes its occupancy of this
 // cell's channel (the entity remembers which channel it was granted), but
 // the entity leaves the wait rings immediately and receives no further
 // grants. The bearer can then be attached to another cell.
-func (c *Cell) Detach(b *Bearer) {
-	if b.cell != c {
-		panic("radio: bearer not attached to this cell")
-	}
+func (c *Cell) detach(b *Bearer) {
 	c.ul.remove(b.ul)
 	c.dl.remove(b.dl)
 	// An entity waiting in the ring (no PDU on the air) is parked here; one
@@ -162,7 +147,6 @@ func (c *Cell) Detach(b *Bearer) {
 	b.ul.ch = nil
 	b.dl.ch = nil
 	b.cell = nil
-	c.n--
 }
 
 // cellChannel is one direction's shared air interface: a busy flag covering
@@ -250,8 +234,8 @@ func (ch *cellChannel) dispatch() {
 
 // served completes one PDU's air occupancy: update the proportional-fair
 // accounting, rotate the entity to the back of the ring when it still has
-// work, and hand the channel to the next bearer on a fresh event (the same
-// zero-delay hop the standalone pacing loop uses).
+// work, and hand the channel to the next bearer on a fresh zero-delay
+// event.
 func (ch *cellChannel) served(e *entity, p *PDU, more bool) {
 	ch.busy = false
 	if ch.cell.policy == SchedPropFair {

@@ -15,13 +15,12 @@ import (
 func churnRun(t *testing.T, payload, periodMs int) (digests []string, sent, delivered [3]int, mons [3]*recordingMonitor) {
 	t.Helper()
 	k := simtime.NewKernel(7)
-	cell0 := NewCellID(k, SchedPropFair, 0)
-	cell1 := NewCellID(k, SchedPropFair, 1)
+	cell0 := NewCell(k, SchedPropFair, 0)
+	cell1 := NewCell(k, SchedPropFair, 1)
 
 	var bearers [3]*Bearer
 	for i := range bearers {
-		b := NewBearer(k, ProfileLTE())
-		cell0.Attach(b, 1)
+		b := NewBearer(cell0, ProfileLTE(), 1)
 		mons[i] = &recordingMonitor{}
 		b.Attach(mons[i])
 		bearers[i] = b

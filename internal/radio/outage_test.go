@@ -14,7 +14,7 @@ func TestOutageRecoversDelivery(t *testing.T) {
 	for _, mk := range []func() *Profile{Profile3G, ProfileLTE} {
 		prof := mk()
 		k := simtime.NewKernel(1)
-		b := NewBearer(k, prof)
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), prof, 1)
 		mon := &recordingMonitor{}
 		b.Attach(mon)
 		b.ScheduleOutage(simtime.Time(2500*time.Millisecond), 2*time.Second)
@@ -53,7 +53,7 @@ func TestOutageRecoversDelivery(t *testing.T) {
 func TestOutageDropsRRCToBase(t *testing.T) {
 	prof := Profile3G()
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, prof)
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), prof, 1)
 
 	// Promote via traffic, then hit an outage while still high-power.
 	b.SendUplink(make([]byte, 100), nil, nil)
@@ -76,7 +76,7 @@ func TestOutageDropsRRCToBase(t *testing.T) {
 func TestOutageDeterminism(t *testing.T) {
 	run := func() []simtime.Time {
 		k := simtime.NewKernel(9)
-		b := NewBearer(k, ProfileLTE())
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), ProfileLTE(), 1)
 		mon := &recordingMonitor{}
 		b.Attach(mon)
 		b.ScheduleOutage(simtime.Time(time.Second), time.Second)

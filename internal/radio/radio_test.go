@@ -161,7 +161,7 @@ func mustDeliver(t *testing.T, k *simtime.Kernel, send func(func())) simtime.Tim
 
 func TestBearerDeliversUplinkPacket(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	pkt := bytes.Repeat([]byte{0xAB}, 1400)
 	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(pkt, func(any) { cb() }, nil) })
 	// Must include the 2s PCH->DCH promotion.
@@ -175,7 +175,7 @@ func TestBearerDeliversUplinkPacket(t *testing.T) {
 
 func TestBearerSegmentation3GUplink(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	pkt := make([]byte, 1400)
@@ -211,7 +211,7 @@ func TestBearerSegmentation3GUplink(t *testing.T) {
 
 func TestPDUSpanningTwoSDUs(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	// 50 bytes then 50 bytes: PDU#2 carries tail of pkt1 (10B) + head of
@@ -246,7 +246,7 @@ func TestInOrderDeliveryAcrossPackets(t *testing.T) {
 	k := simtime.NewKernel(7)
 	p := Profile3G()
 	p.PDULossProb = 0.05 // force retransmissions
-	b := NewBearer(k, p)
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
@@ -267,7 +267,7 @@ func TestLossTriggersRetransmissionAndStatus(t *testing.T) {
 	k := simtime.NewKernel(3)
 	p := Profile3G()
 	p.PDULossProb = 0.2
-	b := NewBearer(k, p)
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	delivered := false
@@ -301,7 +301,7 @@ func TestPollBitCadence(t *testing.T) {
 	k := simtime.NewKernel(1)
 	p := Profile3G()
 	p.PDULossProb = 0
-	b := NewBearer(k, p)
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	b.SendUplink(make([]byte, 40*100), nil, nil) // exactly 100 PDUs
@@ -325,7 +325,7 @@ func TestLTEUsesFewerPDUsThan3G(t *testing.T) {
 	count := func(prof *Profile) int {
 		k := simtime.NewKernel(1)
 		prof.PDULossProb = 0
-		b := NewBearer(k, prof)
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), prof, 1)
 		mon := &recordingMonitor{}
 		b.Attach(mon)
 		for i := 0; i < 100; i++ {
@@ -344,7 +344,7 @@ func TestLTEUsesFewerPDUsThan3G(t *testing.T) {
 
 func TestDownlinkUsesFlexiblePayload(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, Profile3G())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), Profile3G(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	b.SendDownlink(make([]byte, 1400), nil, nil)
@@ -364,7 +364,7 @@ func TestDownlinkUsesFlexiblePayload(t *testing.T) {
 
 func TestWiFiNoPromotionDelay(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, ProfileWiFi())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), ProfileWiFi(), 1)
 	at := mustDeliver(t, k, func(cb func()) { b.SendUplink(make([]byte, 1400), func(any) { cb() }, nil) })
 	if at > 50*time.Millisecond {
 		t.Fatalf("WiFi delivery took %v, want < 50ms", at)
@@ -374,7 +374,7 @@ func TestWiFiNoPromotionDelay(t *testing.T) {
 func TestSimplified3GPromotesFaster(t *testing.T) {
 	norm := func(prof *Profile) simtime.Time {
 		k := simtime.NewKernel(1)
-		b := NewBearer(k, prof)
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), prof, 1)
 		var at simtime.Time
 		b.SendUplink(make([]byte, 400), func(any) { at = k.Now() }, nil)
 		k.Run()
@@ -395,7 +395,7 @@ func TestQuickSegmentationConservesBytes(t *testing.T) {
 		k := simtime.NewKernel(seed)
 		p := Profile3G()
 		p.PDULossProb = 0
-		b := NewBearer(k, p)
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 		mon := &recordingMonitor{}
 		b.Attach(mon)
 		total, delivered := 0, 0
@@ -425,7 +425,7 @@ func TestQuickInOrderUnderLoss(t *testing.T) {
 		k := simtime.NewKernel(seed)
 		p := ProfileLTE()
 		p.PDULossProb = float64(lossPct%30) / 100
-		b := NewBearer(k, p)
+		b := NewBearer(NewCell(k, SchedRoundRobin, 0), p, 1)
 		var order []int
 		for i := 0; i < count; i++ {
 			i := i
@@ -450,7 +450,7 @@ func TestQuickInOrderUnderLoss(t *testing.T) {
 
 func TestTransitionLogDuringTransfer(t *testing.T) {
 	k := simtime.NewKernel(1)
-	b := NewBearer(k, ProfileLTE())
+	b := NewBearer(NewCell(k, SchedRoundRobin, 0), ProfileLTE(), 1)
 	mon := &recordingMonitor{}
 	b.Attach(mon)
 	b.SendUplink(make([]byte, 1400), nil, nil)

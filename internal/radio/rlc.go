@@ -132,9 +132,9 @@ type entity struct {
 	pollEvery   int
 	maxWindow   int // max unacked PDUs in flight before the sender stalls
 
-	// ch is the shared cell channel this entity transmits on, nil when the
-	// bearer is standalone (self-paced, the single-UE default). cellIdx is
-	// the bearer's attach order on the cell, used for deterministic
+	// ch is the cell channel this entity transmits on, nil while the bearer
+	// is detached for a handover (the data plane is frozen). cellIdx is the
+	// bearer's attach order on the cell, used for deterministic
 	// tie-breaking; inRing marks membership in the channel's wait ring.
 	ch      *cellChannel
 	cellIdx int
@@ -144,11 +144,10 @@ type entity struct {
 	// occupancy must complete (and release) the old cell's channel.
 	txCh *cellChannel
 	// onAir is the PDU currently transmitting (at most one per entity), and
-	// the cached completion/loop closures below keep the per-PDU hot path
+	// the cached completion/start closures below keep the per-PDU hot path
 	// allocation-free (method values and fresh closures both allocate).
 	onAir     *PDU
 	pduSentFn func()
-	txNextFn  func()
 	startFn   func()
 	statusFn  func()
 	receiveFn func(any) // receive(arg.(*PDU))
@@ -201,7 +200,6 @@ func newEntity(b *Bearer, dir Direction) *entity {
 		e.onAir = nil
 		e.pduSent(p)
 	}
-	e.txNextFn = e.txNext
 	e.startFn = e.start
 	e.statusFn = e.statusArrived
 	e.receiveFn = func(p any) { e.receive(p.(*PDU)) }
@@ -236,7 +234,7 @@ func (e *entity) kick() {
 	if e.b.InOutage() {
 		return // resume() re-kicks when the bearer comes back
 	}
-	if e.b.hoFrozen {
+	if e.ch == nil {
 		return // CompleteHandover re-kicks on the target cell
 	}
 	if !e.hasWork() {
@@ -251,21 +249,16 @@ func (e *entity) kick() {
 	e.b.k.At(ready, e.startFn)
 }
 
-// start begins transmission once the RRC promotion delay has elapsed: on a
-// shared cell the entity joins the channel's wait ring and transmits when
-// scheduled; standalone it self-paces exactly as before.
+// start begins transmission once the RRC promotion delay has elapsed: the
+// entity joins its cell channel's wait ring and transmits when scheduled.
 func (e *entity) start() {
-	if e.b.hoFrozen {
+	if e.ch == nil {
 		// A promotion completed inside the handover interruption window;
 		// CompleteHandover re-kicks on the target cell.
 		e.sending = false
 		return
 	}
-	if e.ch != nil {
-		e.ch.activate(e)
-		return
-	}
-	e.txNext()
+	e.ch.activate(e)
 }
 
 func (e *entity) hasWork() bool {
@@ -336,30 +329,15 @@ func (e *entity) resume() {
 	e.kick()
 }
 
-// txNext transmits one PDU (new or retransmission) and schedules the next.
-// It is the standalone (no-cell) pacing loop.
-func (e *entity) txNext() {
-	if e.b.InOutage() || e.b.hoFrozen {
-		// Bearer went down (or froze for a handover) between scheduling and
-		// transmission; park the sender — resume()/CompleteHandover restarts
-		// it.
-		e.sending = false
-		return
-	}
-	p := e.nextPDU()
-	if p == nil {
-		e.sending = false
-		return
-	}
-	e.transmit(p)
-}
-
-// startTx is the cell-scheduler entry point: attempt to start one PDU
+// startTx is the cell scheduler's grant: attempt to start one PDU
 // transmission for this entity. It reports whether the channel is now busy;
 // a parked entity (outage, drained queue) returns false so the dispatcher
-// can move on to the next bearer.
+// can move on to the next bearer. A detached entity is never granted: it
+// left the wait ring when it detached.
 func (e *entity) startTx() bool {
-	if e.b.InOutage() || e.b.hoFrozen {
+	if e.b.InOutage() {
+		// The bearer went down between joining the ring and this grant;
+		// park the sender — resume() restarts it.
 		e.sending = false
 		return false
 	}
@@ -393,7 +371,7 @@ func (e *entity) transmit(p *PDU) {
 	// Refresh the RRC inactivity timer; bandwidth may have changed state.
 	e.b.rrc.OnActivity()
 	bw := e.bandwidth() * e.b.gain
-	if e.ch != nil && e.ch.share != 1 {
+	if e.ch.share != 1 {
 		// Capacity fraction left by the same topology cell's bearers on
 		// other shards (multiplying by the default share of 1 would be a
 		// float no-op, but skipping it keeps intent obvious).
@@ -409,16 +387,15 @@ func (e *entity) transmit(p *PDU) {
 		e.sincePoll = 0
 	}
 
-	if e.ch != nil {
-		e.ch.airtime += txTime
-		e.txCh = e.ch
-	}
+	e.ch.airtime += txTime
+	e.txCh = e.ch
 	e.onAir = p
 	e.b.k.After(txTime, e.pduSentFn)
 }
 
 // pduSent finishes one PDU's transmission: records it, applies loss, updates
-// receiver state, schedules STATUS if polled, and continues the loop.
+// receiver state, schedules STATUS if polled, and releases the channel,
+// rejoining its wait ring when there is more to send.
 func (e *entity) pduSent(p *PDU) {
 	k := e.b.k
 	p.SentAt = k.Now()
@@ -448,7 +425,6 @@ func (e *entity) pduSent(p *PDU) {
 	// complete on the old cell's channel with no further grant.
 	ch := e.txCh
 	e.txCh = nil
-	detached := ch != nil && ch != e.ch
 
 	// Window check: stall if too many unacked PDUs.
 	if len(e.inFlight) >= e.maxWindow {
@@ -457,30 +433,14 @@ func (e *entity) pduSent(p *PDU) {
 		if !e.statusDue {
 			e.schedStatus() // make sure feedback is coming
 		}
-		if ch != nil {
-			ch.served(e, p, false)
-		}
+		ch.served(e, p, false)
 		return
 	}
-	if ch != nil {
-		more := !detached && e.hasWork()
-		if !more {
-			e.sending = false
-		}
-		ch.served(e, p, more)
-		return
-	}
-	if e.b.hoFrozen {
-		// Standalone bearer frozen for a handover: park; CompleteHandover
-		// re-kicks.
-		e.sending = false
-		return
-	}
-	if e.hasWork() {
-		k.After(0, e.txNextFn)
-	} else {
+	more := ch == e.ch && e.hasWork()
+	if !more {
 		e.sending = false
 	}
+	ch.served(e, p, more)
 }
 
 // schedStatus schedules the ARQ STATUS report arriving back at the sender
@@ -509,7 +469,7 @@ func (e *entity) statusArrived() {
 		// bearer is back.
 		return
 	}
-	if e.b.hoFrozen {
+	if e.ch == nil {
 		// STATUS arrived during the handover interruption window and is
 		// lost with it; CompleteHandover re-polls via resume().
 		return
