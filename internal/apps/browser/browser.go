@@ -183,10 +183,6 @@ func (a *App) ActiveLoadAge(now simtime.Time) time.Duration {
 	return time.Duration(now - a.loadStartedAt)
 }
 
-// ResetConns aborts the connection pool; the next load dials fresh
-// connections (exported for runtime path actuation).
-func (a *App) ResetConns() { a.resetConns() }
-
 // Repath restarts the active page load on a fresh connection pool with a
 // fresh DNS resolution — after a DNS repoint this lands on the new server.
 // The load span stays open across the restart, so QoE accounting charges

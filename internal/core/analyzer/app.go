@@ -66,12 +66,3 @@ func (r AppReport) ByAction(action string) []Latency {
 	}
 	return out
 }
-
-// CalibratedSeconds extracts the calibrated values (for CDFs and stats).
-func CalibratedSeconds(ls []Latency) []float64 {
-	out := make([]float64, len(ls))
-	for i, l := range ls {
-		out[i] = l.Calibrated.Seconds()
-	}
-	return out
-}

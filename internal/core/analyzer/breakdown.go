@@ -256,15 +256,6 @@ func (c *CrossLayer) ipToRLC(packets []MappedPacket, m MappingResult, pdus []qxd
 	return sum
 }
 
-// FlowToHostInWindow returns the hostname of the responsible flow, using
-// the DNS association (§5.2); empty when unknown.
-func (c *CrossLayer) FlowToHostInWindow(w QoEWindow) string {
-	if f := c.ResponsibleFlow(w); f != nil {
-		return f.Host
-	}
-	return ""
-}
-
 // DataConsumption sums device wire bytes over the capture, optionally
 // restricted to flows resolved to host (empty host = everything).
 func (c *CrossLayer) DataConsumption(host string) (ul, dl int) {

@@ -62,11 +62,6 @@ func GoneCond(sig uisim.Signature) Cond {
 	return func(s *uisim.Snapshot) bool { return !s.VisibleMatch(sig) }
 }
 
-// TextCond waits for any shown view to contain substr.
-func TextCond(substr string) Cond {
-	return func(s *uisim.Snapshot) bool { return s.ContainsText(substr) }
-}
-
 // interactFn performs the user interaction and returns the injection time.
 type interactFn func() (simtime.Time, error)
 

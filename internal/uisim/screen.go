@@ -36,7 +36,6 @@ type Screen struct {
 	// Observability: the pending-input fields attribute the next draw commit
 	// to the user input that caused it (the paper's t_screen - t_ui gap).
 	tr        *obs.Trace
-	reg       *obs.Registry
 	draws     *obs.Counter
 	parses    *obs.Counter
 	drawHist  *obs.Histogram
@@ -72,19 +71,13 @@ func (s *Screen) Version() uint64 { return s.version }
 // DrawnVersion returns the version currently visible on screen.
 func (s *Screen) DrawnVersion() uint64 { return s.drawnVer }
 
-// SetObs attaches a trace bus and metrics registry. Apps and the
-// instrumentation layer built over this screen read them back via Obs, so
-// one testbed call wires the whole UI side.
+// SetObs attaches a trace bus and metrics registry.
 func (s *Screen) SetObs(tr *obs.Trace, reg *obs.Registry) {
 	s.tr = tr
-	s.reg = reg
 	s.draws = reg.Counter("ui_draws")
 	s.parses = reg.Counter("ui_parses")
 	s.drawHist = reg.Histogram("ui_input_to_draw_ms")
 }
-
-// Obs returns the attached trace and registry (nil when detached).
-func (s *Screen) Obs() (*obs.Trace, *obs.Registry) { return s.tr, s.reg }
 
 // noteInput records a pending user input so the next draw commit can be
 // attributed to it.
