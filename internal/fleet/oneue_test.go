@@ -55,17 +55,6 @@ func TestCoreDelayDefaultsByTech(t *testing.T) {
 			t.Errorf("%s core delay = %v, want %v", c.prof.Name, b.Net.CoreDelay, c.want)
 		}
 	}
-	f, err := fleet.Build(fleet.Scenario{
-		Seed: 4,
-		Cell: fleet.CellSpec{CoreDelay: 99 * time.Millisecond},
-		UEs:  fleet.UniformUEs(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.UEs[0].Net.CoreDelay != 99*time.Millisecond {
-		t.Fatal("explicit core delay ignored")
-	}
 }
 
 func TestThrottleMechanismByTech(t *testing.T) {

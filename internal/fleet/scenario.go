@@ -23,23 +23,18 @@ import (
 )
 
 // CellSpec describes the shared cell: the radio technology every bearer
-// uses, the scheduling policy dividing the air interface, and the core
-// latency behind the base station.
+// uses and the scheduling policy dividing the air interface. The core
+// latency behind the base station follows from the technology.
 type CellSpec struct {
 	// Profile is the radio profile (default: LTE). All UEs in a cell share
 	// one technology, as on a real carrier.
 	Profile *radio.Profile
 	// Policy selects the cell scheduler (round-robin by default).
 	Policy radio.SchedPolicy
-	// CoreDelay overrides the one-way base-station-to-server latency
-	// (zero = technology default).
-	CoreDelay time.Duration
 }
 
 // UESpec describes one device in the fleet.
 type UESpec struct {
-	// Name labels the UE in reports; empty defaults to "ue<i>".
-	Name string
 	// Gain is the UE's link-quality multiplier on the cell's nominal rate
 	// (1 or 0 = nominal). Must not be negative.
 	Gain float64
@@ -80,8 +75,6 @@ type TopologySpec struct {
 	// data-forwarding delay and the sharded run's lookahead window
 	// (0 = 10ms).
 	X2Latency time.Duration
-	// PathLossExp overrides the path-loss exponent (0 = 2.6).
-	PathLossExp float64
 }
 
 // MobilitySpec enables per-UE mobility across a multi-cell topology:
@@ -90,15 +83,9 @@ type TopologySpec struct {
 type MobilitySpec struct {
 	// SpeedMps is the UE speed in meters/second (walking ~1.4, driving ~14).
 	SpeedMps float64
-	// Interval is the measurement report period (0 = 200ms).
-	Interval time.Duration
-	// Hysteresis is the neighbor/serving gain ratio arming a handover
-	// (0 = 1.25); TTT is the time-to-trigger it must hold (0 = 480ms).
-	Hysteresis float64
-	TTT        time.Duration
-	// Interruption is the connected-mode handover's control-plane break
-	// (0 = 50ms); the data plane stalls for Interruption + X2 forwarding.
-	Interruption time.Duration
+	// TTT is the time-to-trigger a neighbor cell's handover margin must
+	// hold (0 = 480ms).
+	TTT time.Duration
 }
 
 // Scenario is a complete, declarative description of a fleet run: one cell
@@ -166,9 +153,6 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("fleet: UE %d: %w", i, err)
 		}
 	}
-	if s.Cell.CoreDelay < 0 {
-		return fmt.Errorf("fleet: negative core delay %v", s.Cell.CoreDelay)
-	}
 	if t := s.Topology; t != nil {
 		if t.Cells < 1 {
 			return fmt.Errorf("fleet: topology needs at least 1 cell, got %d", t.Cells)
@@ -179,13 +163,10 @@ func (s *Scenario) validate() error {
 		if t.X2Latency < 0 {
 			return fmt.Errorf("fleet: negative X2 latency %v", t.X2Latency)
 		}
-		if t.PathLossExp < 0 {
-			return fmt.Errorf("fleet: negative path-loss exponent %v", t.PathLossExp)
-		}
-		if t.Cells == 1 && (t.SpacingM > 0 || t.X2Latency > 0 || t.PathLossExp > 0) {
+		if t.Cells == 1 && (t.SpacingM > 0 || t.X2Latency > 0) {
 			// A 1-cell topology is one shard with no grid, where these
 			// knobs would be silently meaningless — reject instead.
-			return fmt.Errorf("fleet: 1-cell topology ignores spacing/X2/path-loss settings; use Cells > 1 or drop them")
+			return fmt.Errorf("fleet: 1-cell topology ignores spacing/X2 settings; use Cells > 1 or drop them")
 		}
 	}
 	if m := s.Mobility; m != nil {
@@ -195,11 +176,8 @@ func (s *Scenario) validate() error {
 		if m.SpeedMps < 0 {
 			return fmt.Errorf("fleet: negative UE speed %v m/s", m.SpeedMps)
 		}
-		if m.Interval < 0 || m.TTT < 0 || m.Interruption < 0 {
-			return fmt.Errorf("fleet: negative mobility timing (interval %v, TTT %v, interruption %v)", m.Interval, m.TTT, m.Interruption)
-		}
-		if m.Hysteresis < 0 {
-			return fmt.Errorf("fleet: negative handover hysteresis %v", m.Hysteresis)
+		if m.TTT < 0 {
+			return fmt.Errorf("fleet: negative handover time-to-trigger %v", m.TTT)
 		}
 	}
 	return nil

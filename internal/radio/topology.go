@@ -22,15 +22,6 @@ type Topology struct {
 
 	// SpacingM is the inter-site distance the grid was laid out with.
 	SpacingM float64
-	// RefDistM is the distance of full nominal gain: closer than this the
-	// gain clamps to 1 (no "super-cell" boost at the mast).
-	RefDistM float64
-	// PathLossExp is the path-loss exponent (free space 2, urban 2.7-3.5).
-	PathLossExp float64
-	// MinGain floors the gain so a UE at the coverage edge still drains its
-	// queue (the stack has no concept of total loss of service here —
-	// outages model that).
-	MinGain float64
 	// X2Latency is the inter-cell coordination latency: the minimum time
 	// for any state at one cell to influence another. It is both the
 	// handover data-forwarding delay and the safe conservative-lookahead
@@ -40,35 +31,38 @@ type Topology struct {
 	width, height float64 // roaming bounds
 }
 
-// Defaults for NewGridTopology, exported so scenario specs can surface them.
+// The grid's defaults and its propagation model.
 const (
-	DefaultSpacingM    = 500.0
-	DefaultRefDistM    = 60.0
-	DefaultPathLossExp = 2.6
-	DefaultMinGain     = 0.05
-	DefaultX2Latency   = 10 * time.Millisecond
+	defaultSpacingM  = 500.0
+	defaultX2Latency = 10 * time.Millisecond
+	// refDistM is the distance of full nominal gain: closer than this the
+	// gain clamps to 1 (no "super-cell" boost at the mast).
+	refDistM = 60.0
+	// pathLossExp is the path-loss exponent (free space 2, urban 2.7-3.5).
+	pathLossExp = 2.6
+	// minGain floors the gain so a UE at the coverage edge still drains its
+	// queue (the stack has no concept of total loss of service here —
+	// outages model that).
+	minGain = 0.05
 )
 
 // NewGridTopology lays out cells on a near-square grid with the given
-// inter-site distance (0 = DefaultSpacingM) and default propagation
-// parameters. Fields can be adjusted before use.
+// inter-site distance (0 = 500m) and an X2 latency of 10ms, which the
+// caller may change before use.
 func NewGridTopology(cells int, spacingM float64) *Topology {
 	if cells < 1 {
 		panic(fmt.Sprintf("radio: topology needs >= 1 cell, got %d", cells))
 	}
 	if spacingM <= 0 {
-		spacingM = DefaultSpacingM
+		spacingM = defaultSpacingM
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(cells))))
 	rows := (cells + cols - 1) / cols
 	t := &Topology{
-		SpacingM:    spacingM,
-		RefDistM:    DefaultRefDistM,
-		PathLossExp: DefaultPathLossExp,
-		MinGain:     DefaultMinGain,
-		X2Latency:   DefaultX2Latency,
-		width:       float64(cols) * spacingM,
-		height:      float64(rows) * spacingM,
+		SpacingM:  spacingM,
+		X2Latency: defaultX2Latency,
+		width:     float64(cols) * spacingM,
+		height:    float64(rows) * spacingM,
 	}
 	for i := 0; i < cells; i++ {
 		col, row := i%cols, i/cols
@@ -92,12 +86,12 @@ func (t *Topology) Bounds() (w, h float64) { return t.width, t.height }
 func (t *Topology) Gain(site int, x, y float64) float64 {
 	s := t.Sites[site]
 	d := math.Hypot(x-s.X, y-s.Y)
-	if d <= t.RefDistM {
+	if d <= refDistM {
 		return 1
 	}
-	g := math.Pow(t.RefDistM/d, t.PathLossExp)
-	if g < t.MinGain {
-		return t.MinGain
+	g := math.Pow(refDistM/d, pathLossExp)
+	if g < minGain {
+		return minGain
 	}
 	return g
 }
