@@ -38,10 +38,21 @@ type SpecStep struct {
 	Index   int    `json:"index,omitempty"`   // youtube result index
 
 	// DelayMS is think time before the step (used when the spec preserves
-	// timing). Repeat expands the step N times (default 1).
+	// timing), at most maxDelayMS. Repeat expands the step N times
+	// (default 1), at most maxRepeat.
 	DelayMS int64 `json:"delay_ms,omitempty"`
 	Repeat  int   `json:"repeat,omitempty"`
 }
+
+// Bounds ParseSpec enforces on each step. Compile expands a step into
+// Repeat script steps, so an unbounded count is unbounded memory; at most
+// 1000 repetitions also keeps every expansion's stamp sequence
+// (step*1000 + repetition) distinct. Think time is capped at a day, far
+// below the values that overflow the virtual clock when added to it.
+const (
+	maxRepeat  = 1000
+	maxDelayMS = 24 * 60 * 60 * 1000
+)
 
 // Spec is a full replay specification.
 type Spec struct {
@@ -59,6 +70,14 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	}
 	if len(s.Steps) == 0 {
 		return nil, fmt.Errorf("controller: spec has no steps")
+	}
+	for i, st := range s.Steps {
+		if st.Repeat < 0 || st.Repeat > maxRepeat {
+			return nil, fmt.Errorf("controller: spec step %d: repeat %d outside [0, %d]", i, st.Repeat, maxRepeat)
+		}
+		if st.DelayMS < 0 || st.DelayMS > maxDelayMS {
+			return nil, fmt.Errorf("controller: spec step %d: delay_ms %d outside [0, %d]", i, st.DelayMS, maxDelayMS)
+		}
 	}
 	return &s, nil
 }

@@ -28,6 +28,10 @@ func TestParseSpecValidAndInvalid(t *testing.T) {
 		`{}`,
 		`{"steps": []}`,
 		`{"steps": [{"app": "x"}], "bogus_field": 1}`,
+		`{"steps": [{"app": "facebook", "action": "pull_to_update", "repeat": -1}]}`,
+		`{"steps": [{"app": "facebook", "action": "pull_to_update", "repeat": 1001}]}`,
+		`{"steps": [{"app": "facebook", "action": "pull_to_update", "delay_ms": -1}]}`,
+		`{"steps": [{"app": "facebook", "action": "pull_to_update", "delay_ms": 86400001}]}`,
 	} {
 		if _, err := controller.ParseSpec(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted bad spec %q", bad)
