@@ -24,10 +24,12 @@ test-short: build
 # the fleet goldens (internal/fleet/testdata) and the whole experiment
 # registry (internal/experiments/testdata). It runs every example once
 # (about 2 s together with a warm build cache), then ends with 10 s fuzzes
-# of the message framing and the two capture readers (QxDM logs and pcap
-# files, each through the analyses traceview runs on it), a vet of the
-# benchmark module (its own module, so the root vet stops short of it) and
-# the benchmark's ~10 s smoke test.
+# of the message framing, the two capture readers (QxDM logs and pcap
+# files, each through the analyses traceview runs on it) and the three text
+# parsers (qoeserve's -slo strings evaluated against a store, qoedoctor's
+# -spec files compiled against real app drivers, and the -config JSON), a
+# vet of the benchmark module (its own module, so the root vet stops short
+# of it) and the benchmark's ~10 s smoke test.
 verify: build
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
@@ -40,6 +42,9 @@ verify: build
 	$(GO) test -run '^$$' -fuzz FuzzMsgConnFeed -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzQxDMLog -fuzztime 10s ./internal/qxdm/
 	$(GO) test -run '^$$' -fuzz FuzzPcapFile -fuzztime 10s ./internal/pcap/
+	$(GO) test -run '^$$' -fuzz FuzzParseSLO -fuzztime 10s ./internal/qoemon/
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/core/controller/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/cliconfig/
 	cd bench && $(GO) vet . && $(GO) test .
 
 # The sharded fleet's determinism contract, pinned at both extremes of
